@@ -7,17 +7,28 @@ along z (ties go left: coordinate <= center goes to the left child, so
 the center itself always lands in the leftmost leaf). The seven
 non-leaf product coefficients of that tree become the point's features,
 appended to x, y, z.
+
+A point's seven coefficients depend only on how many neighbors fall in
+each of its eight octants, so extraction is a batched octant count.
+Rows are processed in chunks: a radius below the unit-cube diameter
+takes every neighbor id of a chunk from one kd-tree query, codes each
+(center, neighbor) pair by octant and bincounts the codes; a larger
+radius covers the whole cloud and compares every center with every
+point. Both regimes yield (n, 8) counts that one finishing step turns
+into coefficients. `dyadic_measure_from_sphere` and
+`point_product_coefficients` are the per-point reference definition
+that the batched path must match bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .dyadic import DyadicTree, coefficients_from_measure
 from .errors import ValidationError
@@ -31,7 +42,11 @@ FEATURE_COLUMNS = ("x", "y", "z", "a_s", "a_ls", "a_rs", "a_lls", "a_rls", "a_lr
 # materializes neighbor id lists.
 _FULL_CLOUD_RADIUS = math.sqrt(3.0)
 
+# Rows per task. A radius chunk holds every (center, neighbor) pair of
+# its rows in int64/float64 temporaries, so it is kept small enough
+# that the threads' pair buffers do not raise the peak memory.
 _CHUNK = 256
+_RADIUS_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -57,12 +72,29 @@ class SpatialIndex:
             raise ValidationError(f"expected (n, 3) points, got {points.shape}")
         if leaf_size < 1:
             raise ValidationError(f"leaf_size must be positive, got {leaf_size}")
+        # Imported here so that stages which never build a tree do not
+        # pay for loading scipy.spatial.
+        from scipy.spatial import cKDTree
+
         self.points = points
         self._tree = cKDTree(points, leafsize=leaf_size, balanced_tree=True)
 
     def query_radius(self, center, radius: float) -> np.ndarray:
         ids = self._tree.query_ball_point(np.asarray(center, dtype=np.float64), radius)
         return np.sort(np.asarray(ids, dtype=np.int64))
+
+    def query_radius_many(self, centers: np.ndarray, radius: float):
+        """Neighbor ids of many centers from one tree query.
+
+        Returns (lengths, ids): the neighbors of centers[k] are the
+        lengths[k] ids that follow those of centers[:k], in no fixed
+        order. Each set equals query_radius(centers[k], radius).
+        """
+        lists = self._tree.query_ball_point(centers, radius, return_sorted=False)
+        lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+        ids = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
+                          count=int(lengths.sum()))
+        return lengths, ids
 
 
 def radius_neighbors(index: SpatialIndex, center, radius: float) -> np.ndarray:
@@ -128,8 +160,8 @@ def _coefficients_from_octant_counts(counts: np.ndarray) -> np.ndarray:
     """Vectorized (n, 8) octant counts -> (n, 7) level-order coefficients.
 
     Exactly the same float operations as DyadicTree.from_leaf_masses
-    followed by coefficients_from_measure, so both extraction paths
-    produce bit-identical features.
+    followed by coefficients_from_measure, so the batched count gives
+    the per-point reference's features bit for bit.
     """
     counts = counts.astype(np.float64)
     n4 = counts[:, 0] + counts[:, 1]
@@ -149,22 +181,21 @@ def _coefficients_from_octant_counts(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rows_kdtree(cloud: PointCloud, spec: NeighborhoodSpec, index: SpatialIndex,
-                 start: int, stop: int, out: np.ndarray) -> None:
-    xyz = cloud.xyz
-    for i in range(start, stop):
-        ids = index.query_radius(xyz[i], spec.radius)
-        if not spec.include_center:
-            ids = ids[ids != i]
-        tree = dyadic_measure_from_sphere(xyz[ids], xyz[i])
-        out[i] = point_product_coefficients(tree).as_array()
+def _octant_counts_radius(xyz: np.ndarray, index: SpatialIndex, radius: float,
+                          start: int, stop: int) -> np.ndarray:
+    """(m, 8) octant counts of rows start..stop over their radius neighborhoods."""
+    centers = xyz[start:stop]
+    lengths, ids = index.query_radius_many(centers, radius)
+    rows = np.repeat(np.arange(stop - start), lengths)
+    right = xyz[ids] > centers[rows]  # False (<=) -> left child
+    codes = right[:, 0] * 4 + right[:, 1] * 2 + right[:, 2] * 1
+    return np.bincount(rows * 8 + codes, minlength=(stop - start) * 8).reshape(-1, 8)
 
 
-def _rows_full_cloud(cloud: PointCloud, spec: NeighborhoodSpec,
-                     start: int, stop: int, out: np.ndarray) -> None:
+def _octant_counts_full_cloud(xyz: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """(m, 8) octant counts of rows start..stop over the whole cloud."""
     # Radius covers the whole normalized cloud: count octant membership
     # directly instead of materializing n-sized neighbor lists per point.
-    xyz = cloud.xyz
     centers = xyz[start:stop]
     m = stop - start
     codes = (xyz[None, :, 0] > centers[:, None, 0]).astype(np.uint8) << 2
@@ -173,11 +204,16 @@ def _rows_full_cloud(cloud: PointCloud, spec: NeighborhoodSpec,
     counts = np.empty((m, 8), dtype=np.int64)
     for j in range(m):
         counts[j] = np.bincount(codes[j], minlength=8)
-    if not spec.include_center:
+    return counts
+
+
+def _finish_octant_counts(counts: np.ndarray, include_center: bool):
+    """(m, 8) octant counts including each center -> neighborhood sizes
+    and (m, 7) coefficients, leaving the center out (in place) when
+    asked to."""
+    if not include_center:
         counts[:, 0] -= 1  # the center itself always sits in octant 0
-        if (counts.sum(axis=1) == 0).any():
-            raise ValidationError("empty neighborhood: no points to measure")
-    out[start:stop] = _coefficients_from_octant_counts(counts)
+    return counts.sum(axis=1), _coefficients_from_octant_counts(counts)
 
 
 def _rescale_unit_columns(values: np.ndarray) -> np.ndarray:
@@ -209,17 +245,23 @@ def extract_features(cloud: PointCloud, spec: NeighborhoodSpec | None = None,
         raise ValidationError("cloud must be normalized to the unit cube first")
 
     n = len(cloud)
-    raw = np.empty((n, 10), dtype=np.float64)
-    raw[:, :3] = cloud.xyz
-
-    coeff_view = raw[:, 3:]
+    xyz = cloud.xyz
     if spec.radius >= _FULL_CLOUD_RADIUS:
-        worker = lambda lo, hi: _rows_full_cloud(cloud, spec, lo, hi, coeff_view)
+        chunk = _CHUNK
+        kernel = lambda lo, hi: _octant_counts_full_cloud(xyz, lo, hi)
     else:
-        index = SpatialIndex(cloud.xyz)
-        worker = lambda lo, hi: _rows_kdtree(cloud, spec, index, lo, hi, coeff_view)
+        chunk = _RADIUS_CHUNK
+        index = SpatialIndex(xyz)
+        kernel = lambda lo, hi: _octant_counts_radius(xyz, index, spec.radius, lo, hi)
 
-    chunks = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    raw = np.empty((n, 10), dtype=np.float64)
+    raw[:, :3] = xyz
+    sizes = np.empty(n, dtype=np.int64)
+
+    def worker(lo, hi):
+        sizes[lo:hi], raw[lo:hi, 3:] = _finish_octant_counts(kernel(lo, hi), spec.include_center)
+
+    chunks = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     if threads == 0:
         threads = os.cpu_count() or 1
     if threads > 1 and len(chunks) > 1:
@@ -230,6 +272,13 @@ def extract_features(cloud: PointCloud, spec: NeighborhoodSpec | None = None,
     else:
         for lo, hi in chunks:
             worker(lo, hi)
+
+    empty = np.flatnonzero(sizes == 0)
+    if len(empty):
+        raise ValidationError(
+            f"empty neighborhood: {len(empty)} of {n} rows have no points to "
+            f"measure besides the center (first: row {empty[0]})"
+        )
 
     return FeatureMatrix(
         values=_rescale_unit_columns(raw),

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,8 +12,9 @@ from prodcoef.features import (
     FEATURE_COLUMNS,
     NeighborhoodSpec,
     SpatialIndex,
-    _rows_full_cloud,
-    _rows_kdtree,
+    _finish_octant_counts,
+    _octant_counts_full_cloud,
+    _octant_counts_radius,
     dyadic_measure_from_sphere,
     extract_features,
     point_product_coefficients,
@@ -25,6 +31,37 @@ def naive_radius_neighbors(points, center, radius):
         if d2 <= radius * radius:
             ids.append(i)
     return np.array(ids, dtype=np.int64)
+
+
+def rescale_columns(raw):
+    """Oracle for the final min-max step; constant columns become 0.5."""
+    mins, maxs = raw.min(axis=0), raw.max(axis=0)
+    return np.where(
+        maxs == mins, 0.5, (raw - mins) / np.where(maxs == mins, 1.0, maxs - mins)
+    )
+
+
+def naive_scan_features(cloud, spec):
+    """Oracle features: naive-scan neighborhoods through the per-point
+    reference measure and coefficients, then the min-max rescale.
+
+    Returns (values, empty rows); values is None when a neighborhood is
+    empty, since extraction must then fail.
+    """
+    xyz = cloud.xyz
+    raw = np.empty((len(xyz), 10))
+    raw[:, :3] = xyz
+    empty = []
+    for i in range(len(xyz)):
+        ids = naive_radius_neighbors(xyz, xyz[i], spec.radius)
+        if not spec.include_center:
+            ids = ids[ids != i]
+        if len(ids) == 0:
+            empty.append(i)
+            continue
+        tree = dyadic_measure_from_sphere(xyz[ids], xyz[i])
+        raw[i, 3:] = point_product_coefficients(tree).as_array()
+    return (None if empty else rescale_columns(raw)), empty
 
 
 class TestRadiusNeighbors:
@@ -57,6 +94,17 @@ class TestRadiusNeighbors:
         index = SpatialIndex(pts)
         ids = radius_neighbors(index, pts[17], 0.4)
         assert (np.diff(ids) > 0).all()
+
+    def test_many_centers_match_single_queries(self):
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(size=(300, 3))
+        index = SpatialIndex(pts)
+        lengths, ids = index.query_radius_many(pts[:40], 0.2)
+        assert lengths.shape == (40,) and ids.shape == (lengths.sum(),)
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        for k in range(40):
+            got = np.sort(ids[offsets[k]:offsets[k + 1]])
+            np.testing.assert_array_equal(got, radius_neighbors(index, pts[k], 0.2))
 
     def test_non_positive_radius_rejected(self):
         index = SpatialIndex(np.zeros((1, 3)))
@@ -181,32 +229,56 @@ class TestExtractFeatures:
     def test_kdtree_path_equals_dense_path(self):
         rng = np.random.default_rng(6)
         cloud = normalize_unit_cube(PointCloud(xyz=rng.uniform(size=(150, 3))))
-        spec = NeighborhoodSpec(radius=2.0)
-        out_kd = np.empty((150, 7))
-        out_dense = np.empty((150, 7))
         index = SpatialIndex(cloud.xyz)
-        _rows_kdtree(cloud, spec, index, 0, 150, out_kd)
-        _rows_full_cloud(cloud, spec, 0, 150, out_dense)
-        np.testing.assert_array_equal(out_kd, out_dense)
+        counts_kd = _octant_counts_radius(cloud.xyz, index, 2.0, 0, 150)
+        counts_dense = _octant_counts_full_cloud(cloud.xyz, 0, 150)
+        np.testing.assert_array_equal(counts_kd, counts_dense)
+        np.testing.assert_array_equal(
+            _finish_octant_counts(counts_kd, True)[1],
+            _finish_octant_counts(counts_dense, True)[1],
+        )
 
     def test_kdtree_features_equal_naive_scan_features(self):
         rng = np.random.default_rng(7)
         cloud = normalize_unit_cube(PointCloud(xyz=rng.uniform(size=(200, 3))))
         spec = NeighborhoodSpec(radius=0.25)
         fm = extract_features(cloud, spec)
-        # Oracle path: naive scan neighborhoods fed through the same
+        # Oracle path: naive scan neighborhoods fed through the
         # per-point coefficient computation.
-        raw = np.empty((200, 10))
-        raw[:, :3] = cloud.xyz
-        for i in range(200):
-            ids = naive_radius_neighbors(cloud.xyz, cloud.xyz[i], spec.radius)
-            tree = dyadic_measure_from_sphere(cloud.xyz[ids], cloud.xyz[i])
-            raw[i, 3:] = point_product_coefficients(tree).as_array()
-        mins, maxs = raw.min(axis=0), raw.max(axis=0)
-        expected = np.where(
-            maxs == mins, 0.5, (raw - mins) / np.where(maxs == mins, 1.0, maxs - mins)
-        )
+        expected, empty = naive_scan_features(cloud, spec)
+        assert not empty
         np.testing.assert_array_equal(fm.values, expected)
+
+    @pytest.mark.parametrize("include_center", [True, False])
+    def test_duplicate_heavy_coordinates_equal_naive_scan_features(self, include_center):
+        # Centimetre-quantized coordinates at a LAS-like offset, as real
+        # tiles store them: each axis takes only 25 distinct values and
+        # a fifth of the points repeat another point exactly, so many
+        # neighbors tie with their center on one, two or all three axes
+        # and exercise the "<= center goes left" rule.
+        rng = np.random.default_rng(13)
+        grid = rng.integers(0, 25, size=(160, 3))
+        grid = np.vstack([grid, grid[rng.integers(0, 160, size=40)]])
+        xyz = grid * 0.01 + np.array([512_340.0, 5_401_200.0, 210.0])
+        cloud = normalize_unit_cube(PointCloud(xyz=xyz))
+        n_failing = 0
+        for radius in (0.05, 0.12, 0.3, 0.7):
+            spec = NeighborhoodSpec(radius=radius, include_center=include_center)
+            expected, empty = naive_scan_features(cloud, spec)
+            for threads in (1, 2):
+                if empty:
+                    # Isolated points have nothing to measure once their
+                    # center is left out; the error names them.
+                    message = rf"empty.* {len(empty)} of 200 rows.*first: row {empty[0]}\)"
+                    with pytest.raises(ValidationError, match=message):
+                        extract_features(cloud, spec, threads=threads)
+                else:
+                    fm = extract_features(cloud, spec, threads=threads)
+                    np.testing.assert_array_equal(fm.values, expected)
+            n_failing += bool(empty)
+        # Both outcomes are exercised: small radii isolate some points
+        # only when the center is left out.
+        assert n_failing == (0 if include_center else 2)
 
     def test_row_permutation_equivariance(self):
         rng = np.random.default_rng(8)
@@ -236,14 +308,26 @@ class TestExtractFeatures:
         cloud = normalize_unit_cube(PointCloud(xyz=rng.uniform(size=(600, 3))))
         spec = NeighborhoodSpec(radius=0.2)
         a = extract_features(cloud, spec, threads=1)
-        b = extract_features(cloud, spec, threads=4)
+        # Workers write disjoint row slices of shared arrays; switch
+        # threads as often as possible so a lost write would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            b = extract_features(cloud, spec, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_single_point_without_center_errors(self):
         cloud = normalize_unit_cube(PointCloud(xyz=[[0, 0, 0], [5, 5, 5]]))
         tiny = NeighborhoodSpec(radius=1e-6, include_center=False)
-        with pytest.raises(ValidationError, match="empty"):
+        with pytest.raises(ValidationError, match=r"empty.* 2 of 2 rows.*first: row 0"):
             extract_features(cloud, tiny)
+        # Only the isolated last point has nothing but itself nearby.
+        cloud = normalize_unit_cube(PointCloud(xyz=[[0, 0, 0], [0.1, 0, 0], [5, 5, 5]]))
+        near = NeighborhoodSpec(radius=0.05, include_center=False)
+        with pytest.raises(ValidationError, match=r"empty.* 1 of 3 rows.*first: row 2"):
+            extract_features(cloud, near)
 
     def test_include_center_false_full_cloud_path(self):
         # Dense path with the center removed still matches the kd path.
@@ -251,14 +335,11 @@ class TestExtractFeatures:
         cloud = normalize_unit_cube(PointCloud(xyz=rng.uniform(size=(50, 3))))
         spec = NeighborhoodSpec(radius=2.0, include_center=False)
         fm_dense = extract_features(cloud, spec)
-        out = np.empty((50, 7))
         index = SpatialIndex(cloud.xyz)
-        _rows_kdtree(cloud, spec, index, 0, 50, out)
-        mins, maxs = out.min(axis=0), out.max(axis=0)
-        expected = np.where(
-            maxs == mins, 0.5, (out - mins) / np.where(maxs == mins, 1.0, maxs - mins)
-        )
-        np.testing.assert_array_equal(fm_dense.values[:, 3:], expected)
+        counts = _octant_counts_radius(cloud.xyz, index, spec.radius, 0, 50)
+        sizes, out = _finish_octant_counts(counts, spec.include_center)
+        assert (sizes == 49).all()
+        np.testing.assert_array_equal(fm_dense.values[:, 3:], rescale_columns(out))
 
     def test_requires_normalized_cloud(self):
         with pytest.raises(ValidationError, match="normalized"):
@@ -267,3 +348,16 @@ class TestExtractFeatures:
     def test_invalid_radius(self):
         with pytest.raises(ValidationError):
             NeighborhoodSpec(radius=0.0)
+
+
+def test_import_does_not_load_scipy_spatial():
+    # Only building a kd-tree needs scipy.spatial; importing the package
+    # (as every CLI stage does) must not pay for it.
+    code = (
+        "import sys, prodcoef, prodcoef.cli\n"
+        "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial imported'\n"
+    )
+    import prodcoef
+
+    env = dict(os.environ, PYTHONPATH=str(Path(prodcoef.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
