@@ -387,7 +387,8 @@ def _add_common(parser: _Parser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="run seed (recorded in artifacts)")
     parser.add_argument("--out-dir", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads; 0 = auto; never changes results")
+                        help="worker threads for radius neighborhoods; 0 = auto; "
+                             "never changes results")
 
 
 def _add_input(parser: _Parser) -> None:

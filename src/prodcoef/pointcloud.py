@@ -11,6 +11,9 @@ from .errors import FormatError, ValidationError
 
 NORMALIZE_MODES = ("per-axis", "uniform")
 
+# Labels are stored as int64.
+_LABEL_MIN, _LABEL_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -117,16 +120,20 @@ def _parse_float(cell: str, row_num: int) -> float:
 
 def _parse_label(cell: str, row_num: int) -> int:
     try:
-        return int(cell)
+        label = int(cell)
     except ValueError:
-        pass
-    try:
-        value = float(cell)
-    except ValueError:
-        raise FormatError(f"row {row_num}: non-numeric label {cell!r}") from None
-    if value != int(value):
-        raise FormatError(f"row {row_num}: label {cell!r} is not an integer")
-    return int(value)
+        try:
+            value = float(cell)
+        except ValueError:
+            raise FormatError(f"row {row_num}: non-numeric label {cell!r}") from None
+        if not np.isfinite(value):
+            raise FormatError(f"row {row_num}: non-finite label {cell!r}")
+        if value != int(value):
+            raise FormatError(f"row {row_num}: label {cell!r} is not an integer")
+        label = int(value)
+    if not _LABEL_MIN <= label <= _LABEL_MAX:
+        raise FormatError(f"row {row_num}: label {cell!r} does not fit in int64")
+    return label
 
 
 def read_csv(path, has_label: bool = False) -> PointCloud:

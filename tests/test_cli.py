@@ -62,6 +62,15 @@ def test_missing_input_gives_io_exit(tmp_path):
     ]) == 2
 
 
+def test_bad_label_gives_io_exit(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,y,z,label\n0,0,0,1\n1,1,1,nan\n")
+    assert main([
+        "features", "--input", str(bad), "--has-label", "--out-dir", str(tmp_path / "o"),
+    ]) == 2
+    assert "row 3" in capsys.readouterr().err
+
+
 def test_corrupt_las_gives_consistency_exit(tmp_path):
     bad = tmp_path / "bad.las"
     bad.write_bytes(build_las(raw_xyz=[(i, i, i) for i in range(5)], declared_count=9))
@@ -179,6 +188,19 @@ def test_threads_do_not_change_artifacts(tmp_path, scene_csv):
         outs.append(out)
     for name in ("features.csv", "report_t1_full_knn.json", "table1.csv",
                  "features.manifest.json", "evaluate.manifest.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_threads_do_not_change_default_radius_features(tmp_path, scene_csv):
+    outs = []
+    for name, threads in (("t1", "1"), ("t2", "2")):
+        out = tmp_path / name
+        assert main([
+            "features", "--input", str(scene_csv), "--has-label",
+            "--threads", threads, "--out-dir", str(out),
+        ]) == 0
+        outs.append(out)
+    for name in ("features.csv", "features.manifest.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodcoef.dyadic import DyadicTree
 from prodcoef.errors import ValidationError
@@ -13,8 +15,8 @@ from prodcoef.features import (
     NeighborhoodSpec,
     SpatialIndex,
     _finish_octant_counts,
-    _octant_counts_full_cloud,
     _octant_counts_radius,
+    _octant_counts_whole_cloud,
     dyadic_measure_from_sphere,
     extract_features,
     point_product_coefficients,
@@ -31,6 +33,15 @@ def naive_radius_neighbors(points, center, radius):
         if d2 <= radius * radius:
             ids.append(i)
     return np.array(ids, dtype=np.int64)
+
+
+def all_pairs_octant_counts(xyz):
+    """Oracle: compare every center with every point on each axis and
+    bincount the octant codes ("<= center" goes left)."""
+    codes = (xyz[None, :, 0] > xyz[:, None, 0]).astype(np.uint8) << 2
+    codes |= (xyz[None, :, 1] > xyz[:, None, 1]).astype(np.uint8) << 1
+    codes |= (xyz[None, :, 2] > xyz[:, None, 2]).astype(np.uint8)
+    return np.array([np.bincount(row, minlength=8) for row in codes], dtype=np.int64)
 
 
 def rescale_columns(raw):
@@ -231,7 +242,7 @@ class TestExtractFeatures:
         cloud = normalize_unit_cube(PointCloud(xyz=rng.uniform(size=(150, 3))))
         index = SpatialIndex(cloud.xyz)
         counts_kd = _octant_counts_radius(cloud.xyz, index, 2.0, 0, 150)
-        counts_dense = _octant_counts_full_cloud(cloud.xyz, 0, 150)
+        counts_dense = _octant_counts_whole_cloud(cloud.xyz)
         np.testing.assert_array_equal(counts_kd, counts_dense)
         np.testing.assert_array_equal(
             _finish_octant_counts(counts_kd, True)[1],
@@ -262,7 +273,7 @@ class TestExtractFeatures:
         xyz = grid * 0.01 + np.array([512_340.0, 5_401_200.0, 210.0])
         cloud = normalize_unit_cube(PointCloud(xyz=xyz))
         n_failing = 0
-        for radius in (0.05, 0.12, 0.3, 0.7):
+        for radius in (0.05, 0.12, 0.3, 0.7, 2.0):
             spec = NeighborhoodSpec(radius=radius, include_center=include_center)
             expected, empty = naive_scan_features(cloud, spec)
             for threads in (1, 2):
@@ -330,7 +341,7 @@ class TestExtractFeatures:
             extract_features(cloud, near)
 
     def test_include_center_false_full_cloud_path(self):
-        # Dense path with the center removed still matches the kd path.
+        # Whole-cloud path with the center removed still matches the kd path.
         rng = np.random.default_rng(11)
         cloud = normalize_unit_cube(PointCloud(xyz=rng.uniform(size=(50, 3))))
         spec = NeighborhoodSpec(radius=2.0, include_center=False)
@@ -348,6 +359,42 @@ class TestExtractFeatures:
     def test_invalid_radius(self):
         with pytest.raises(ValidationError):
             NeighborhoodSpec(radius=0.0)
+
+
+def _edge_clouds():
+    rng = np.random.default_rng(14)
+    # Centimetre-quantized coordinates at a LAS-like offset, 12 values per axis.
+    cm_grid = rng.integers(0, 12, size=(300, 3)) * 0.01 + np.array([512_340.0, 5_401_200.0, 210.0])
+    clouds = {
+        "n=1": np.array([[0.5, 0.5, 0.5]]),
+        "n=2": normalize_unit_cube(PointCloud(xyz=[[0, 0, 0], [1, 1, 1]])).xyz,
+        "n=2 mixed": normalize_unit_cube(PointCloud(xyz=[[0, 1, 0], [1, 0, 1]])).xyz,
+        "identical": np.full((37, 3), 0.5),
+        "constant z": normalize_unit_cube(
+            PointCloud(xyz=np.c_[rng.uniform(size=(50, 2)), np.full(50, 3.0)])).xyz,
+        "cm grid": normalize_unit_cube(PointCloud(xyz=cm_grid)).xyz,
+    }
+    for size in (31, 32, 33, 127, 128, 129):
+        clouds[f"n={size}"] = rng.uniform(size=(size, 3))
+        clouds[f"n={size} ties"] = rng.integers(0, 4, size=(size, 3)) / 3.0
+    return clouds
+
+
+class TestWholeCloudCounts:
+    @pytest.mark.parametrize("name", list(_edge_clouds()))
+    def test_equals_all_pairs_oracle(self, name):
+        xyz = _edge_clouds()[name]
+        counts = _octant_counts_whole_cloud(xyz)
+        assert counts.dtype == np.int64 and counts.shape == (len(xyz), 8)
+        np.testing.assert_array_equal(counts, all_pairs_octant_counts(xyz))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=70))
+    def test_small_integer_grids_equal_oracle(self, points):
+        # Four values per axis: nearly every pair ties on some axis.
+        xyz = np.array(points, dtype=np.float64) / 3.0
+        np.testing.assert_array_equal(_octant_counts_whole_cloud(xyz),
+                                      all_pairs_octant_counts(xyz))
 
 
 def test_import_does_not_load_scipy_spatial():

@@ -45,6 +45,26 @@ def test_read_csv_non_finite(tmp_path):
         read_csv(path, has_label=False)
 
 
+@pytest.mark.parametrize("cell, reason", [
+    ("nan", "non-finite"),
+    ("inf", "non-finite"),
+    ("1e30", "int64"),
+    ("99999999999999999999", "int64"),
+])
+def test_read_csv_bad_label_names_row(tmp_path, cell, reason):
+    path = tmp_path / "pts.csv"
+    path.write_text(f"x,y,z,label\n0,0,0,1\n1,1,1,{cell}\n")
+    with pytest.raises(FormatError, match=f"row 3: .*{reason}"):
+        read_csv(path, has_label=True)
+
+
+def test_read_csv_label_at_int64_limits(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("0,0,0,-9223372036854775808\n1,1,1,9223372036854775807\n2,2,2,-4.0\n")
+    cloud = read_csv(path, has_label=True)
+    assert cloud.labels.tolist() == [-2**63, 2**63 - 1, -4]
+
+
 def test_read_csv_missing_file(tmp_path):
     with pytest.raises(FormatError):
         read_csv(tmp_path / "nope.csv")
