@@ -25,8 +25,8 @@ from .features import (
     point_product_coefficients,
     radius_neighbors,
 )
-from .forest import ForestConfig, RandomForestModel, rf_fit, rf_predict
-from .knn import KnnModel, knn_predict
+from .forest import ForestConfig, RandomForestModel, rf_fit, rf_predict_labels
+from .knn import KnnModel, knn_predict_labels
 from .las import LasHeaderSummary, read_las
 from .matrix import FeatureMatrix, read_feature_csv, write_feature_csv
 from .pca import PcaModel, fit_pca, transform

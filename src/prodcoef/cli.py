@@ -31,17 +31,31 @@ from .evaluation import (
     report_to_json,
 )
 from .features import FEATURE_COLUMNS, NeighborhoodSpec, extract_features
-from .forest import ForestConfig, forest_to_json, rf_fit
-from .knn import KnnModel
+from .forest import forest_to_json
 from .las import read_las
 from .matrix import read_feature_csv, write_feature_csv
 from .pca import fit_pca, pca_to_json, transform
-from .pointcloud import NORMALIZE_MODES, normalize_unit_cube, read_csv, write_csv
+from .pointcloud import (
+    NORMALIZE_MODES,
+    XYZ_COLUMNS,
+    normalize_unit_cube,
+    read_csv,
+    write_csv,
+)
 from .synth import SceneSpec, generate_scene
 
 log = logging.getLogger("prodcoef")
 
-XYZ_COLUMNS = ("x", "y", "z")
+# render_report key -> file name, shared by evaluate and report. Table 1
+# reports carry a feature_set and no n_components, table 2 reports the
+# reverse, so each table always lands in the same file.
+TABLE_FILES = {
+    "table_features.csv": "table1.csv",
+    "table_features.txt": "table1.txt",
+    "table_components.csv": "table2.csv",
+    "table_components.txt": "table2.txt",
+    "plot_components.csv": "plot_table2.csv",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,34 +214,31 @@ def cmd_train(args) -> int:
     if matrix.labels is None:
         raise ValidationError("training requires a labeled feature file")
 
-    outputs = []
-    pca_model = None
-    if args.components is not None:
-        pca_model = fit_pca(matrix, args.components)
-        pca_path = out / "pca_model.json"
-        pca_path.write_text(pca_to_json(pca_model) + "\n")
-        outputs.append(pca_path)
-        matrix = transform(pca_model, matrix)
+    spec = PipelineSpec(
+        classifier=args.classifier, n_components=args.components, k=args.k,
+        n_trees=args.trees, max_depth=args.max_depth, seed=args.seed,
+    )
+    fitted = ClassifierPipeline(spec).fit(matrix)
 
+    outputs = []
+    if fitted.pca is not None:
+        pca_path = out / "pca_model.json"
+        pca_path.write_text(pca_to_json(fitted.pca) + "\n")
+        outputs.append(pca_path)
     if args.classifier == "knn":
-        model = KnnModel(train=matrix, k=args.k)
         model_path = out / "knn_model.json"
         _write_json(
             model_path,
             {
-                "k": model.k,
+                "k": fitted.model.k,
                 "training_csv": features_path.name,
                 "training_digest": _digest(features_path),
                 "n_components": args.components,
             },
         )
     else:
-        model = rf_fit(
-            matrix,
-            ForestConfig(n_trees=args.trees, max_depth=args.max_depth, seed=args.seed),
-        )
         model_path = out / "rf_model.json"
-        model_path.write_text(forest_to_json(model) + "\n")
+        model_path.write_text(forest_to_json(fitted.model) + "\n")
     outputs.append(model_path)
 
     config = {
@@ -326,15 +337,8 @@ def _run_evaluate(args, out: Path, features_path: Path) -> None:
                 report = evaluate(spec, matrix, {})
                 save(report, f"report_t2_n{n:02d}_{clf}.json")
 
-    artifact_names = {
-        "table_features.csv": f"table{args.table}.csv",
-        "table_features.txt": f"table{args.table}.txt",
-        "table_components.csv": f"table{args.table}.csv",
-        "table_components.txt": f"table{args.table}.txt",
-        "plot_components.csv": f"plot_table{args.table}.csv",
-    }
     for name, text in render_report(reports).items():
-        path = out / artifact_names[name]
+        path = out / TABLE_FILES[name]
         path.write_text(text)
         outputs.append(path)
 
@@ -376,7 +380,7 @@ def cmd_report(args) -> int:
             raise ValidationError(f"cannot read report {path}: {exc}") from None
     if not reports:
         raise ValidationError("no reports given")
-    artifacts = render_report(reports)
+    artifacts = {TABLE_FILES[name]: text for name, text in render_report(reports).items()}
     for name, text in artifacts.items():
         (out / name).write_text(text)
     log.info("report: wrote %s", ", ".join(sorted(artifacts)))

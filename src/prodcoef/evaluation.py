@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .forest import ForestConfig, forest_to_json, rf_fit, rf_predict_labels
+from .forest import (
+    ForestConfig,
+    RandomForestModel,
+    forest_to_json,
+    rf_fit,
+    rf_predict_labels,
+)
 from .knn import KnnModel, knn_predict_labels
 from .matrix import FeatureMatrix
 from .pca import PcaModel, fit_pca, pca_to_json, transform
@@ -150,30 +156,31 @@ class PipelineSpec:
         return out
 
 
+@dataclass(frozen=True)
 class FittedPipeline:
-    def __init__(self, pca: PcaModel | None, kind: str, model):
-        self._pca = pca
-        self._kind = kind
-        self._model = model
+    """A fitted (PCA?) -> classifier pair; the model's type picks the predictor."""
+
+    pca: PcaModel | None
+    model: KnnModel | RandomForestModel
 
     def predict_labels(self, queries: FeatureMatrix) -> np.ndarray:
-        if self._pca is not None:
-            queries = transform(self._pca, queries)
-        if self._kind == "knn":
-            return knn_predict_labels(self._model, queries)
-        return rf_predict_labels(self._model, queries)
+        if self.pca is not None:
+            queries = transform(self.pca, queries)
+        if isinstance(self.model, KnnModel):
+            return knn_predict_labels(self.model, queries)
+        return rf_predict_labels(self.model, queries)
 
     def fingerprint(self) -> str:
         """Content digest of everything learned from the training data."""
         digest = hashlib.sha256()
-        if self._pca is not None:
-            digest.update(pca_to_json(self._pca).encode())
-        if self._kind == "knn":
-            digest.update(self._model.train.values.tobytes())
-            digest.update(self._model.train.labels.tobytes())
-            digest.update(str(self._model.k).encode())
+        if self.pca is not None:
+            digest.update(pca_to_json(self.pca).encode())
+        if isinstance(self.model, KnnModel):
+            digest.update(self.model.train.values.tobytes())
+            digest.update(self.model.train.labels.tobytes())
+            digest.update(str(self.model.k).encode())
         else:
-            digest.update(forest_to_json(self._model).encode())
+            digest.update(forest_to_json(self.model).encode())
         return digest.hexdigest()
 
 
@@ -200,7 +207,7 @@ class ClassifierPipeline:
                     seed=spec.seed,
                 ),
             )
-        return FittedPipeline(pca, spec.classifier, model)
+        return FittedPipeline(pca, model)
 
     def describe(self) -> dict:
         return self.spec.describe()

@@ -89,12 +89,6 @@ class RandomForestModel:
     trees: tuple[_Tree, ...]
 
 
-@dataclass(frozen=True)
-class Prediction:
-    label: int
-    per_class_votes: dict[int, float]
-
-
 def _gini(counts: np.ndarray, total: int) -> float:
     p = counts / total
     return 1.0 - float((p * p).sum())
@@ -218,6 +212,7 @@ def _route(tree: _Tree, X: np.ndarray) -> np.ndarray:
 
 
 def _vote_matrix(model: RandomForestModel, queries: FeatureMatrix) -> np.ndarray:
+    """(queries, classes) count of the trees voting for each class."""
     if queries.n_cols != model.n_features:
         raise ValidationError(
             f"query has {queries.n_cols} columns, model expects {model.n_features}"
@@ -234,19 +229,6 @@ def rf_predict_labels(model: RandomForestModel, queries: FeatureMatrix) -> np.nd
     """Plurality vote over the trees' leaf-majority classes."""
     votes = _vote_matrix(model, queries)
     return model.classes[np.argmax(votes, axis=1)]
-
-
-def rf_predict(model: RandomForestModel, queries: FeatureMatrix) -> list[Prediction]:
-    """Predictions with the per-class vote counts attached."""
-    votes = _vote_matrix(model, queries)
-    labels = model.classes[np.argmax(votes, axis=1)]
-    return [
-        Prediction(
-            label=int(lab),
-            per_class_votes={int(c): int(v) for c, v in zip(model.classes, row)},
-        )
-        for lab, row in zip(labels, votes)
-    ]
 
 
 def forest_to_json(model: RandomForestModel) -> str:

@@ -1,7 +1,11 @@
 """K-nearest-neighbors classification, Euclidean, uniform votes.
 
-Distance ties resolve to the lower training-row index (stable sort),
-vote ties to the smallest class code.
+Squared distances are computed directly as sum((q - t)^2) over the
+columns, for every query and training row and at every size. Queries
+run in blocks of at most _BLOCK_PAIRS query x train pairs, which bounds
+the memory of one block's distance table. Distance ties resolve to the
+lower training-row index (stable sort), vote ties to the smallest class
+code.
 """
 
 from __future__ import annotations
@@ -13,10 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .matrix import FeatureMatrix
 
-# Above this many query x train pairs, distances go through the
-# |q|^2 + |t|^2 - 2 q.t expansion in query blocks instead of one
-# broadcast subtraction.
-_DIRECT_PAIR_LIMIT = 4_000_000
+_BLOCK_PAIRS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -32,66 +33,35 @@ class KnnModel:
                 f"k={self.k} outside 1..{self.train.n_rows} training rows"
             )
 
+    @property
+    def classes(self) -> np.ndarray:
+        """Sorted class codes; the column order of the vote matrix."""
+        return np.unique(self.train.labels)
 
-@dataclass(frozen=True)
-class Prediction:
-    label: int
-    per_class_votes: dict[int, float]
 
+def _vote_matrix(model: KnnModel, queries: FeatureMatrix) -> np.ndarray:
+    """(queries, classes) count of each class among the k nearest rows."""
+    if queries.n_cols != model.train.n_cols:
+        raise ValidationError(
+            f"query has {queries.n_cols} columns, training data has {model.train.n_cols}"
+        )
+    T = model.train.values
+    classes = model.classes
+    positions = np.searchsorted(classes, model.train.labels)
 
-def _vote(counts: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    # argmax picks the first maximum; classes are sorted ascending, so
-    # vote ties fall to the smallest class code.
-    return classes[np.argmax(counts, axis=1)]
+    votes = np.zeros((queries.n_rows, len(classes)), dtype=np.int64)
+    block = max(1, _BLOCK_PAIRS // max(1, len(T)))
+    for lo in range(0, queries.n_rows, block):
+        Q = queries.values[lo : lo + block]
+        d2 = ((Q[:, None, :] - T[None, :, :]) ** 2).sum(axis=-1)
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
+        rows = np.arange(lo, lo + len(Q))[:, None]
+        np.add.at(votes, (rows, positions[nearest]), 1)
+    return votes
 
 
 def knn_predict_labels(model: KnnModel, queries: FeatureMatrix) -> np.ndarray:
     """Predicted label per query row, as an array."""
-    if queries.n_cols != model.train.n_cols:
-        raise ValidationError(
-            f"query has {queries.n_cols} columns, training data has {model.train.n_cols}"
-        )
-    T = model.train.values
-    labels = model.train.labels
-    classes = np.unique(labels)
-    positions = np.searchsorted(classes, labels)
-
-    out = np.empty(queries.n_rows, dtype=np.int64)
-    block = max(1, _DIRECT_PAIR_LIMIT // max(1, len(T)))
-    for lo in range(0, queries.n_rows, block):
-        Q = queries.values[lo : lo + block]
-        if len(Q) * len(T) <= _DIRECT_PAIR_LIMIT:
-            d2 = ((Q[:, None, :] - T[None, :, :]) ** 2).sum(axis=-1)
-        else:
-            d2 = (Q**2).sum(1)[:, None] + (T**2).sum(1)[None, :] - 2.0 * (Q @ T.T)
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
-        votes = np.zeros((len(Q), len(classes)), dtype=np.int64)
-        np.add.at(votes, (np.arange(len(Q))[:, None], positions[nearest]), 1)
-        out[lo : lo + len(Q)] = _vote(votes, classes)
-    return out
-
-
-def knn_predict(model: KnnModel, queries: FeatureMatrix) -> list[Prediction]:
-    """Per-query predictions with the full vote breakdown."""
-    if queries.n_cols != model.train.n_cols:
-        raise ValidationError(
-            f"query has {queries.n_cols} columns, training data has {model.train.n_cols}"
-        )
-    T = model.train.values
-    labels = model.train.labels
-    classes = np.unique(labels)
-    positions = np.searchsorted(classes, labels)
-
-    results: list[Prediction] = []
-    for q in queries.values:
-        d2 = ((T - q) ** 2).sum(axis=1)
-        nearest = np.argsort(d2, kind="stable")[: model.k]
-        votes = np.bincount(positions[nearest], minlength=len(classes))
-        label = int(classes[np.argmax(votes)])
-        results.append(
-            Prediction(
-                label=label,
-                per_class_votes={int(c): int(v) for c, v in zip(classes, votes)},
-            )
-        )
-    return results
+    # argmax picks the first maximum; classes are sorted ascending, so
+    # vote ties fall to the smallest class code.
+    return model.classes[np.argmax(_vote_matrix(model, queries), axis=1)]

@@ -11,6 +11,9 @@ from .errors import FormatError, ValidationError
 
 LABEL_COLUMN = "label"
 
+# Labels are stored as int64.
+_LABEL_MIN, _LABEL_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class FeatureMatrix:
@@ -94,6 +97,40 @@ def write_feature_csv(matrix: FeatureMatrix, path) -> None:
                 handle.write(",".join(repr(v) for v in row) + "\n")
 
 
+def parse_label(cell: str, path, row_num: int) -> int:
+    """Integer class code of a CSV cell; `3` and `3.0` both read as 3.
+
+    Anything that is not a finite whole number inside int64 is a
+    FormatError naming the file and row.
+    """
+    try:
+        label = int(cell)
+    except ValueError:
+        try:
+            value = float(cell)
+        except ValueError:
+            raise FormatError(f"{path} row {row_num}: non-numeric label {cell!r}") from None
+        if not np.isfinite(value):
+            raise FormatError(f"{path} row {row_num}: non-finite label {cell!r}")
+        if value != int(value):
+            raise FormatError(f"{path} row {row_num}: label {cell!r} is not an integer")
+        label = int(value)
+    if not _LABEL_MIN <= label <= _LABEL_MAX:
+        raise FormatError(f"{path} row {row_num}: label {cell!r} does not fit in int64")
+    return label
+
+
+def check_finite_rows(values: np.ndarray, row_nums: list[int], path, what: str) -> None:
+    """FormatError naming the first row of `values` with a NaN or infinity.
+
+    `row_nums[i]` is the file row that `values[i]` was parsed from.
+    """
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise FormatError(f"{path} row {row_nums[first]}: non-finite {what}")
+
+
 def read_feature_csv(path) -> FeatureMatrix:
     """Read a feature CSV written by `write_feature_csv`.
 
@@ -116,6 +153,7 @@ def read_feature_csv(path) -> FeatureMatrix:
             raise FormatError(f"{path}: header has no feature columns")
         width = len(header)
         rows: list[list[float]] = []
+        row_nums: list[int] = []
         labels: list[int] = []
         for row_num, row in enumerate(reader, start=2):
             if not row:
@@ -128,14 +166,11 @@ def read_feature_csv(path) -> FeatureMatrix:
                 rows.append([float(c) for c in row[: len(names)]])
             except ValueError:
                 raise FormatError(f"{path} row {row_num}: non-numeric value") from None
+            row_nums.append(row_num)
             if has_label:
-                try:
-                    labels.append(int(row[-1]))
-                except ValueError:
-                    raise FormatError(
-                        f"{path} row {row_num}: non-integer label {row[-1]!r}"
-                    ) from None
+                labels.append(parse_label(row[-1], path, row_num))
     values = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+    check_finite_rows(values, row_nums, path, "feature value")
     return FeatureMatrix(
         values=values,
         column_names=names,

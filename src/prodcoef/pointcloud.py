@@ -8,11 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ValidationError
+from .matrix import FeatureMatrix, check_finite_rows, parse_label, write_feature_csv
 
 NORMALIZE_MODES = ("per-axis", "uniform")
-
-# Labels are stored as int64.
-_LABEL_MIN, _LABEL_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+XYZ_COLUMNS = ("x", "y", "z")
 
 
 @dataclass(frozen=True)
@@ -108,34 +107,6 @@ def normalize_unit_cube(cloud: PointCloud, mode: str = "per-axis") -> PointCloud
     )
 
 
-def _parse_float(cell: str, row_num: int) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise FormatError(f"row {row_num}: non-numeric coordinate {cell!r}") from None
-    if not np.isfinite(value):
-        raise FormatError(f"row {row_num}: non-finite coordinate {cell!r}")
-    return value
-
-
-def _parse_label(cell: str, row_num: int) -> int:
-    try:
-        label = int(cell)
-    except ValueError:
-        try:
-            value = float(cell)
-        except ValueError:
-            raise FormatError(f"row {row_num}: non-numeric label {cell!r}") from None
-        if not np.isfinite(value):
-            raise FormatError(f"row {row_num}: non-finite label {cell!r}")
-        if value != int(value):
-            raise FormatError(f"row {row_num}: label {cell!r} is not an integer")
-        label = int(value)
-    if not _LABEL_MIN <= label <= _LABEL_MAX:
-        raise FormatError(f"row {row_num}: label {cell!r} does not fit in int64")
-    return label
-
-
 def read_csv(path, has_label: bool = False) -> PointCloud:
     """Read a `x,y,z[,label]` CSV file into a point cloud.
 
@@ -145,6 +116,7 @@ def read_csv(path, has_label: bool = False) -> PointCloud:
     """
     expected = 4 if has_label else 3
     coords: list[tuple[float, float, float]] = []
+    row_nums: list[int] = []
     labels: list[int] = []
     try:
         handle = open(path, "r", newline="")
@@ -162,13 +134,18 @@ def read_csv(path, has_label: bool = False) -> PointCloud:
                     continue  # header row
             if len(row) != expected:
                 raise FormatError(
-                    f"row {row_num}: expected {expected} fields, got {len(row)}"
+                    f"{path} row {row_num}: expected {expected} fields, got {len(row)}"
                 )
-            coords.append(tuple(_parse_float(c, row_num) for c in row[:3]))
+            try:
+                coords.append(tuple(map(float, row[:3])))
+            except ValueError:
+                raise FormatError(f"{path} row {row_num}: non-numeric coordinate") from None
+            row_nums.append(row_num)
             if has_label:
-                labels.append(_parse_label(row[3], row_num))
+                labels.append(parse_label(row[3], path, row_num))
 
     xyz = np.array(coords, dtype=np.float64).reshape(len(coords), 3)
+    check_finite_rows(xyz, row_nums, path, "coordinate")
     return PointCloud(
         xyz=xyz,
         labels=np.array(labels, dtype=np.int64) if has_label else None,
@@ -179,12 +156,4 @@ def read_csv(path, has_label: bool = False) -> PointCloud:
 
 def write_csv(cloud: PointCloud, path) -> None:
     """Write `x,y,z[,label]` rows with a header, floats in repr form."""
-    with open(path, "w", newline="\n") as handle:
-        if cloud.labels is not None:
-            handle.write("x,y,z,label\n")
-            for (x, y, z), lab in zip(cloud.xyz.tolist(), cloud.labels.tolist()):
-                handle.write(f"{x!r},{y!r},{z!r},{lab}\n")
-        else:
-            handle.write("x,y,z\n")
-            for x, y, z in cloud.xyz.tolist():
-                handle.write(f"{x!r},{y!r},{z!r}\n")
+    write_feature_csv(FeatureMatrix(cloud.xyz, XYZ_COLUMNS, cloud.labels), path)

@@ -71,6 +71,16 @@ def test_bad_label_gives_io_exit(tmp_path, capsys):
     assert "row 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["0.5,99999999999999999999", "nan,1"])
+def test_bad_feature_file_gives_io_exit(tmp_path, capsys, row):
+    bad = tmp_path / "features.csv"
+    bad.write_text(f"a,label\n0.1,1\n{row}\n")
+    assert main([
+        "evaluate", "--features", str(bad), "--out-dir", str(tmp_path / "o"),
+    ]) == 2
+    assert "row 3" in capsys.readouterr().err
+
+
 def test_corrupt_las_gives_consistency_exit(tmp_path):
     bad = tmp_path / "bad.las"
     bad.write_bytes(build_las(raw_xyz=[(i, i, i) for i in range(5)], declared_count=9))
@@ -253,7 +263,7 @@ def test_report_rerenders_tables(tmp_path, scene_csv):
     report_out = tmp_path / "rerender"
     reports = sorted(str(p) for p in eval_out.glob("report_*.json"))
     assert main(["report", *reports, "--out-dir", str(report_out)]) == 0
-    rendered = (report_out / "table_components.csv").read_text()
+    rendered = (report_out / "table2.csv").read_text()
     original = (eval_out / "table2.csv").read_text()
     assert rendered == original
 

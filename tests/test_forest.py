@@ -8,10 +8,10 @@ from prodcoef.forest import (
     ForestConfig,
     RandomForestModel,
     _Tree,
+    _vote_matrix,
     forest_from_json,
     forest_to_json,
     rf_fit,
-    rf_predict,
     rf_predict_labels,
 )
 from prodcoef.matrix import FeatureMatrix
@@ -102,9 +102,9 @@ def test_identical_single_leaf_trees():
         n_features=1,
         trees=(tree, tree, tree),
     )
-    preds = rf_predict(model, _matrix([[0.1], [0.9]]))
-    assert [p.label for p in preds] == [3, 3]
-    assert preds[0].per_class_votes == {1: 0, 3: 3}
+    queries = _matrix([[0.1], [0.9]])
+    assert rf_predict_labels(model, queries).tolist() == [3, 3]
+    assert _vote_matrix(model, queries).tolist() == [[0, 3], [0, 3]]
 
 
 def test_forest_vote_matches_per_tree_recount():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from prodcoef.errors import ValidationError
-from prodcoef.knn import KnnModel, knn_predict, knn_predict_labels
+import prodcoef.knn as knn_module
+from prodcoef.knn import KnnModel, _vote_matrix, knn_predict_labels
 from prodcoef.matrix import FeatureMatrix
 
 
@@ -83,40 +84,31 @@ def test_training_permutation_invariance_without_ties():
     np.testing.assert_array_equal(a, b)
 
 
-def test_prediction_objects_expose_votes():
+def test_vote_matrix_counts_neighbors_per_class():
     model = KnnModel(train=_matrix([[0, 0], [1, 1], [2, 2]], [5, 5, 9]), k=3)
-    (pred,) = knn_predict(model, _matrix([[0, 0]]))
-    assert pred.label == 5
-    assert pred.per_class_votes == {5: 2, 9: 1}
+    votes = _vote_matrix(model, _matrix([[0, 0], [2, 2]]))
+    assert model.classes.tolist() == [5, 9]
+    assert votes.tolist() == [[2, 1], [2, 1]]
+    assert knn_predict_labels(model, _matrix([[0, 0]])).tolist() == [5]
 
 
-def test_predict_labels_and_predict_agree():
-    rng = np.random.default_rng(4)
-    X = rng.uniform(size=(60, 3))
-    y = rng.integers(0, 3, size=60)
-    queries = _matrix(rng.uniform(size=(25, 3)))
-    model = KnnModel(train=_matrix(X, y), k=5)
-    fast = knn_predict_labels(model, queries)
-    slow = [p.label for p in knn_predict(model, queries)]
-    assert fast.tolist() == slow
-
-
-def test_blocked_distance_path_matches_direct():
-    import prodcoef.knn as knn_module
-
-    rng = np.random.default_rng(5)
-    X = rng.uniform(size=(300, 4))
-    y = rng.integers(0, 3, size=300)
-    queries = _matrix(rng.uniform(size=(50, 4)))
-    model = KnnModel(train=_matrix(X, y), k=9)
-    direct = knn_predict_labels(model, queries)
-    original = knn_module._DIRECT_PAIR_LIMIT
-    try:
-        knn_module._DIRECT_PAIR_LIMIT = 10  # force the expansion path
-        blocked = knn_predict_labels(model, queries)
-    finally:
-        knn_module._DIRECT_PAIR_LIMIT = original
-    np.testing.assert_array_equal(direct, blocked)
+@pytest.mark.parametrize("blocks", ["one block", "many blocks"])
+@pytest.mark.parametrize("k", [1, 4, 10, 25])
+def test_duplicate_grid_matches_full_sort_oracle(monkeypatch, blocks, k):
+    # 400 training rows on 27 grid points: every query has many rows at
+    # exactly the same distance, so the k-th neighbor is almost always a
+    # distance tie that only the lower-row rule decides.
+    rng = np.random.default_rng(6)
+    train_x = rng.integers(0, 3, size=(400, 3)).astype(float)
+    train_y = rng.integers(0, 4, size=400)
+    queries = rng.integers(0, 3, size=(120, 3)).astype(float)
+    if blocks == "many blocks":
+        # 7 queries per block, so 18 blocks with a short last one.
+        monkeypatch.setattr(knn_module, "_BLOCK_PAIRS", 7 * 400)
+    model = KnnModel(train=_matrix(train_x, train_y), k=k)
+    got = knn_predict_labels(model, _matrix(queries))
+    expected = [full_sort_oracle(train_x, train_y, q, k) for q in queries]
+    assert got.tolist() == expected
 
 
 def test_k_larger_than_training_rejected():

@@ -85,3 +85,27 @@ def test_csv_errors(tmp_path):
 
     with pytest.raises(FormatError):
         read_feature_csv(tmp_path / "missing.csv")
+
+
+@pytest.mark.parametrize("feature, label, reason", [
+    ("nan", "1", "non-finite feature value"),
+    ("-inf", "1", "non-finite feature value"),
+    ("0.5", "99999999999999999999", "int64"),
+    ("0.5", "1e30", "int64"),
+    ("0.5", "nan", "non-finite label"),
+    ("0.5", "2.5", "not an integer"),
+])
+def test_csv_bad_value_names_first_bad_row(tmp_path, feature, label, reason):
+    # Row 3 is blank and skipped; rows 4 and 5 are both bad.
+    path = tmp_path / "m.csv"
+    path.write_text(f"a,b,label\n0.1,0.2,1\n\n0.3,{feature},{label}\n0.4,nan,1\n")
+    with pytest.raises(FormatError, match=f"row 4: .*{reason}"):
+        read_feature_csv(path)
+
+
+def test_csv_labels_parse_like_point_csv(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(
+        "a,label\n0.1,3.0\n0.2,-4.0\n0.3,-9223372036854775808\n0.4,9223372036854775807\n"
+    )
+    assert read_feature_csv(path).labels.tolist() == [3, -4, -2**63, 2**63 - 1]

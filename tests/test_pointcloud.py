@@ -45,6 +45,13 @@ def test_read_csv_non_finite(tmp_path):
         read_csv(path, has_label=False)
 
 
+def test_read_csv_non_finite_names_first_bad_row(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("0,0,0\n\n1,inf,1\n2,nan,2\n")
+    with pytest.raises(FormatError, match="row 3: non-finite coordinate"):
+        read_csv(path, has_label=False)
+
+
 @pytest.mark.parametrize("cell, reason", [
     ("nan", "non-finite"),
     ("inf", "non-finite"),
@@ -68,6 +75,15 @@ def test_read_csv_label_at_int64_limits(tmp_path):
 def test_read_csv_missing_file(tmp_path):
     with pytest.raises(FormatError):
         read_csv(tmp_path / "nope.csv")
+
+
+def test_write_csv_exact_text(tmp_path):
+    labeled = tmp_path / "labeled.csv"
+    write_csv(PointCloud(xyz=[[0.1, 2.0, -3.5], [1e-17, 0.0, 7.0]], labels=[4, -2]), labeled)
+    assert labeled.read_text() == "x,y,z,label\n0.1,2.0,-3.5,4\n1e-17,0.0,7.0,-2\n"
+    plain = tmp_path / "plain.csv"
+    write_csv(PointCloud(xyz=[[0.25, 1.0, 3.0]]), plain)
+    assert plain.read_text() == "x,y,z\n0.25,1.0,3.0\n"
 
 
 def test_csv_round_trip(tmp_path):
