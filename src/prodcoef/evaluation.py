@@ -115,13 +115,19 @@ def fold_assignment(labels: np.ndarray, plan: CrossValPlan) -> np.ndarray:
     perm = rng.permutation(n)
     fold = np.empty(n, dtype=np.int64)
     if plan.stratified:
-        for c in np.unique(labels):
+        classes, sizes = np.unique(labels, return_counts=True)
+        short = sizes < plan.folds
+        if short.any():
+            listed = ", ".join(
+                f"class {int(c)} has {int(s)} rows"
+                for c, s in zip(classes[short], sizes[short])
+            )
+            raise ValidationError(
+                f"{listed}; stratified {plan.folds}-fold needs at least "
+                f"{plan.folds} rows per class"
+            )
+        for c in classes:
             rows_c = perm[labels[perm] == c]
-            if len(rows_c) < plan.folds:
-                raise ValidationError(
-                    f"class {int(c)} has {len(rows_c)} rows; stratified "
-                    f"{plan.folds}-fold needs at least {plan.folds}"
-                )
             fold[rows_c] = np.arange(len(rows_c)) % plan.folds
     else:
         fold[perm] = np.arange(n) % plan.folds
@@ -323,10 +329,15 @@ def _classifier_cell(reports, **match) -> str:
 
 
 def render_feature_table(reports) -> tuple[str, str]:
-    """CSV and aligned-text table: rows per feature set, KNN/RF columns."""
-    feature_sets = []
-    for report in reports:
-        fs = report.config.get("feature_set")
+    """CSV and aligned-text table: rows per feature set, KNN/RF columns.
+
+    Known feature sets come in _FEATURE_SET_TITLES order (xyz, full),
+    then any other set in the order its first report arrives, so a
+    table of the standard sets does not depend on the report order.
+    """
+    seen = [r.config.get("feature_set") for r in reports]
+    feature_sets = [fs for fs in _FEATURE_SET_TITLES if fs in seen]
+    for fs in seen:
         if fs and fs not in feature_sets:
             feature_sets.append(fs)
     rows = []

@@ -1,15 +1,30 @@
 """K-nearest-neighbors classification, Euclidean, uniform votes.
 
-Squared distances are computed directly as sum((q - t)^2) over the
-columns, for every query and training row and at every size. Queries
-run in blocks of at most _BLOCK_PAIRS query x train pairs, which bounds
-the memory of one block's distance table. Distance ties resolve to the
-lower training-row index (stable sort), vote ties to the smallest class
-code.
+Exact KNN on a kd-tree (Friedman, Bentley & Finkel, ACM TOMS 1977). One
+cKDTree is built over the training rows per call. For each query the
+tree gives the distance r_k of its k-th nearest row, and a ball query
+of radius r_k * (1 + _RADIUS_SLACK) gathers every row that can be among
+the k nearest. The squared distance of each candidate pair is then
+recomputed directly as sum((q - t)^2) over the columns, the same
+expression, rounding and summation order as a brute-force distance
+table, and the candidates are ordered by (squared distance, training
+row). So distance ties resolve to the lower training-row index exactly
+as a stable sort of all distances would, and vote ties to the smallest
+class code.
+
+Queries run in blocks of _BLOCK_PAIRS // n_train rows. A query has at
+most n_train candidates, so one block holds at most _BLOCK_PAIRS
+candidate pairs.
+
+Squared distances must stay finite: when the squared column spans over
+training and query rows sum to more than the largest float, the
+distances would overflow, and _vote_matrix raises ValidationError
+before building the tree.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +33,13 @@ from .errors import ValidationError
 from .matrix import FeatureMatrix
 
 _BLOCK_PAIRS = 4_000_000
+
+# cKDTree sums the squared differences in its own order, so its
+# distances can differ from the direct formula's in the last bits. The
+# relative slack on the ball radius keeps every row whose direct
+# distance ties or beats the k-th one among the candidates; rows it
+# adds beyond those are sorted out by the recomputed distances.
+_RADIUS_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -39,6 +61,20 @@ class KnnModel:
         return np.unique(self.train.labels)
 
 
+def _check_distances_finite(T: np.ndarray, Q: np.ndarray) -> None:
+    """Raise unless the squared column spans of T and Q sum to a finite
+    float; that sum bounds every squared distance between their rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = np.maximum(T.max(axis=0), Q.max(axis=0, initial=-np.inf))
+        lo = np.minimum(T.min(axis=0), Q.min(axis=0, initial=np.inf))
+        bound = float(((hi - lo) ** 2).sum())
+    if not np.isfinite(bound):
+        raise ValidationError(
+            "KNN squared distances overflow: the squared column spans of the "
+            f"training and query rows sum to {bound}; rescale the features"
+        )
+
+
 def _vote_matrix(model: KnnModel, queries: FeatureMatrix) -> np.ndarray:
     """(queries, classes) count of each class among the k nearest rows."""
     if queries.n_cols != model.train.n_cols:
@@ -46,17 +82,32 @@ def _vote_matrix(model: KnnModel, queries: FeatureMatrix) -> np.ndarray:
             f"query has {queries.n_cols} columns, training data has {model.train.n_cols}"
         )
     T = model.train.values
+    k = model.k
     classes = model.classes
     positions = np.searchsorted(classes, model.train.labels)
+    _check_distances_finite(T, queries.values)
+    # Imported here so that importing the package does not load scipy.spatial.
+    from scipy.spatial import cKDTree
 
+    tree = cKDTree(T)
     votes = np.zeros((queries.n_rows, len(classes)), dtype=np.int64)
-    block = max(1, _BLOCK_PAIRS // max(1, len(T)))
+    block = max(1, _BLOCK_PAIRS // len(T))
     for lo in range(0, queries.n_rows, block):
         Q = queries.values[lo : lo + block]
-        d2 = ((Q[:, None, :] - T[None, :, :]) ** 2).sum(axis=-1)
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
-        rows = np.arange(lo, lo + len(Q))[:, None]
-        np.add.at(votes, (rows, positions[nearest]), 1)
+        kth, _ = tree.query(Q, k=[k])
+        lists = tree.query_ball_point(Q, kth[:, 0] * (1 + _RADIUS_SLACK),
+                                      return_sorted=False)
+        counts = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+        idx = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
+                          count=int(counts.sum()))
+        row = np.repeat(np.arange(len(Q)), counts)
+        d2 = ((Q[row] - T[idx]) ** 2).sum(axis=-1)
+        order = np.lexsort((idx, d2, row))
+        # Sorting by row first keeps each query's candidates in one run
+        # that starts where the previous queries' candidates end.
+        rank = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+        nearest = order[rank < k]
+        np.add.at(votes, (lo + row[nearest], positions[idx[nearest]]), 1)
     return votes
 
 

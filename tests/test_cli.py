@@ -268,6 +268,36 @@ def test_report_rerenders_tables(tmp_path, scene_csv):
     assert rendered == original
 
 
+def test_report_reproduces_evaluate_table1(tmp_path, scene_csv):
+    features = _features(tmp_path, scene_csv)
+    eval_out = tmp_path / "eval"
+    assert main([
+        "evaluate", "--features", str(features), "--table", "1",
+        "--folds", "3", "--trees", "5", "--out-dir", str(eval_out),
+    ]) == 0
+    report_out = tmp_path / "rerender"
+    # As a shell glob expands report_t1_*.json: full before xyz.
+    reports = sorted(str(p) for p in eval_out.glob("report_t1_*.json"))
+    assert "full" in reports[0]
+    assert main(["report", *reports, "--out-dir", str(report_out)]) == 0
+    for name in ("table1.csv", "table1.txt"):
+        assert (report_out / name).read_bytes() == (eval_out / name).read_bytes()
+
+
+def test_overflowing_knn_distances_give_validation_exit(tmp_path, capsys):
+    # Features near 1e160: every squared distance would overflow.
+    rows = [f"{i}e159,{i % 3}e159,0,1,2,3,4,5,6,7,{i % 2}" for i in range(12)]
+    path = tmp_path / "features.csv"
+    path.write_text(
+        "x,y,z,a_s,a_ls,a_rs,a_lls,a_rls,a_lrs,a_rrs,label\n" + "\n".join(rows) + "\n"
+    )
+    assert main([
+        "evaluate", "--features", str(path), "--table", "1", "--folds", "2",
+        "--k", "3", "--out-dir", str(tmp_path / "o"),
+    ]) == 1
+    assert "overflow" in capsys.readouterr().err
+
+
 def test_unknown_flag_maps_to_validation_exit(tmp_path):
     assert main(["synth", "--bogus", "--out-dir", str(tmp_path)]) == 1
 

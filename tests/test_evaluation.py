@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,15 @@ class TestFolds:
         labels = np.array([0] * 20 + [7] * 3)
         with pytest.raises(ValidationError, match="class 7"):
             fold_assignment(labels, CrossValPlan(folds=5, seed=0))
+
+    def test_small_class_error_lists_every_short_class(self):
+        labels = np.array([0] * 20 + [7] * 3 + [2] * 9 + [5] * 1)
+        with pytest.raises(ValidationError) as info:
+            fold_assignment(labels, CrossValPlan(folds=5, seed=0))
+        message = str(info.value)
+        assert "class 5 has 1 rows" in message
+        assert "class 7 has 3 rows" in message
+        assert "class 0" not in message and "class 2" not in message
 
     def test_unstratified_allows_small_classes(self):
         labels = np.array([0] * 20 + [7] * 3)
@@ -250,6 +261,19 @@ class TestRendering:
         assert len(lines) == 2
         assert "0.33 (± 0.18)" in lines[1]
         assert "0.41 (± 0.16)" in lines[1]
+
+    def test_feature_table_rows_do_not_follow_report_order(self):
+        reports = [
+            _report(0.33, 0.18, feature_set="xyz", classifier="knn"),
+            _report(0.41, 0.16, feature_set="xyz", classifier="rf"),
+            _report(0.52, 0.11, feature_set="full", classifier="knn"),
+            _report(0.61, 0.09, feature_set="full", classifier="rf"),
+            _report(0.20, 0.05, feature_set="extra", classifier="knn"),
+        ]
+        csv_text, text = render_feature_table(reports)
+        assert render_feature_table(reports[::-1]) == (csv_text, text)
+        rows = [row[0] for row in csv.reader(csv_text.splitlines()[1:])]
+        assert rows == ["Original features (x,y,z)", "With product coefficients", "extra"]
 
     def test_components_table_has_eight_rows(self):
         reports = []

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodcoef.errors import ValidationError
 import prodcoef.knn as knn_module
@@ -23,6 +27,27 @@ def full_sort_oracle(train_x, train_y, query, k):
     chosen = [train_y[i] for _, i in dists[:k]]
     candidates = sorted(set(chosen))
     return max(candidates, key=lambda c: (chosen.count(c), -c))
+
+
+def brute_force_votes(model, queries):
+    """Reference: the whole (m, n, d) distance table, stable-sorted per query."""
+    if queries.n_cols != model.train.n_cols:
+        raise ValidationError(
+            f"query has {queries.n_cols} columns, training data has {model.train.n_cols}"
+        )
+    T = model.train.values
+    classes = model.classes
+    positions = np.searchsorted(classes, model.train.labels)
+
+    votes = np.zeros((queries.n_rows, len(classes)), dtype=np.int64)
+    block = max(1, knn_module._BLOCK_PAIRS // max(1, len(T)))
+    for lo in range(0, queries.n_rows, block):
+        Q = queries.values[lo : lo + block]
+        d2 = ((Q[:, None, :] - T[None, :, :]) ** 2).sum(axis=-1)
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
+        rows = np.arange(lo, lo + len(Q))[:, None]
+        np.add.at(votes, (rows, positions[nearest]), 1)
+    return votes
 
 
 def test_two_separated_clusters():
@@ -109,6 +134,90 @@ def test_duplicate_grid_matches_full_sort_oracle(monkeypatch, blocks, k):
     got = knn_predict_labels(model, _matrix(queries))
     expected = [full_sort_oracle(train_x, train_y, q, k) for q in queries]
     assert got.tolist() == expected
+
+
+@st.composite
+def grid_cases(draw):
+    """Training rows and queries on a small integer grid, so that most
+    distances tie; some queries are copies of training rows."""
+    d = draw(st.sampled_from([2, 3, 10]))
+    scale = draw(st.sampled_from([1.0, 0.1, 1 / 3]))
+    side = draw(st.integers(2, 4))
+    grid_row = st.lists(st.integers(0, side - 1), min_size=d, max_size=d)
+    train = np.array(draw(st.lists(grid_row, min_size=1, max_size=60)), dtype=float)
+    queries = np.array(draw(st.lists(grid_row, min_size=1, max_size=30)), dtype=float)
+    n, m = len(train), len(queries)
+    copied = draw(st.lists(st.integers(0, n - 1), max_size=m))
+    queries[: len(copied)] = train[copied]
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    k = draw(st.integers(1, n))
+    per_block = draw(st.none() | st.integers(1, m))
+    return train * scale, np.array(labels), queries * scale, k, per_block
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_cases())
+def test_vote_matrix_equals_brute_force_on_tie_grids(case):
+    train_x, train_y, queries, k, per_block = case
+    model = KnnModel(train=_matrix(train_x, train_y), k=k)
+    with pytest.MonkeyPatch.context() as patch:
+        if per_block is not None:
+            patch.setattr(knn_module, "_BLOCK_PAIRS", per_block * len(train_x))
+        got = _vote_matrix(model, _matrix(queries))
+        expected = brute_force_votes(model, _matrix(queries))
+    np.testing.assert_array_equal(got, expected)
+    assert (got.sum(axis=1) == k).all()
+
+
+def _huge_grid(scale):
+    rng = np.random.default_rng(8)
+    train_x = rng.integers(-2, 3, size=(80, 3)) * scale
+    queries = np.vstack([train_x[:10], rng.integers(-2, 3, size=(20, 3)) * scale])
+    return train_x, rng.integers(0, 3, size=80), queries
+
+
+def test_large_finite_distances_equal_brute_force():
+    # Squared spans sum to 3 * (4e153)^2, about 5e307: still finite.
+    train_x, train_y, queries = _huge_grid(1e153)
+    model = KnnModel(train=_matrix(train_x, train_y), k=5)
+    np.testing.assert_array_equal(
+        _vote_matrix(model, _matrix(queries)),
+        brute_force_votes(model, _matrix(queries)),
+    )
+
+
+def test_overflowing_distances_rejected():
+    train_x, train_y, queries = _huge_grid(1e160)
+    model = KnnModel(train=_matrix(train_x, train_y), k=5)
+    with pytest.raises(ValidationError, match="overflow"):
+        knn_predict_labels(model, _matrix(queries))
+    # The queries alone can push the spans past the largest float.
+    model = KnnModel(train=_matrix(train_x / 1e10, train_y), k=5)
+    with pytest.raises(ValidationError, match="overflow"):
+        knn_predict_labels(model, _matrix(queries))
+
+
+def test_vote_matrix_memory_stays_near_candidates():
+    # A (1500, 1500, 10) float64 distance table alone is 180 MB. The
+    # candidates are about k = 10 rows per query: some 15,000 pairs of
+    # ten columns, a few MB with their temporaries.
+    rng = np.random.default_rng(9)
+    model = KnnModel(
+        train=_matrix(rng.uniform(size=(1500, 10)), rng.integers(0, 4, size=1500)), k=10
+    )
+    queries = _matrix(rng.uniform(size=(1500, 10)))
+    # Loading scipy.spatial allocates more than the call itself: load it
+    # before tracing so that the bound measures only the call.
+    import scipy.spatial  # noqa: F401
+
+    tracemalloc.start()
+    try:
+        votes = _vote_matrix(model, queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (votes.sum(axis=1) == 10).all()
+    assert peak < 16 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
 
 
 def test_k_larger_than_training_rejected():
