@@ -2,6 +2,10 @@
 """Desk-scale experiment: build the seeded synthetic scene and emit both
 result tables (feature comparison and PCA component sweep).
 
+Features are extracted once into OUT; table 1 is evaluated into
+OUT/table1 and table 2 into OUT/table2, so each directory keeps its own
+evaluate manifest.
+
 Usage: python scripts/reproduce_tables.py [--out-dir OUT] [--trees N]
 """
 
@@ -31,20 +35,25 @@ def main() -> int:
     if code != 0:
         return code
 
-    scene = out / "scene.csv"
-    common = [
-        "--input", str(scene), "--has-label", "--radius", str(args.radius),
-        "--folds", str(args.folds), "--trees", str(args.trees),
-        "--out-dir", str(out),
-    ]
+    code = cli([
+        "features", "--input", str(out / "scene.csv"), "--has-label",
+        "--radius", str(args.radius), "--out-dir", str(out),
+    ])
+    if code != 0:
+        return code
+
     for table, extra in (("1", []), ("2", ["--components", "3..10"])):
-        code = cli(["run", "--table", table, *extra, *common])
+        table_out = out / f"table{table}"
+        code = cli([
+            "evaluate", "--features", str(out / "features.csv"), "--table", table, *extra,
+            "--folds", str(args.folds), "--trees", str(args.trees),
+            "--out-dir", str(table_out),
+        ])
         if code != 0:
             return code
-
-    for name in ("table1.txt", "table2.txt"):
+        name = f"table{table}.txt"
         print(f"\n== {name} ==")
-        print((out / name).read_text())
+        print((table_out / name).read_text())
     print(f"artifacts in {out}/")
     return 0
 

@@ -20,10 +20,7 @@ from .features import (
     FEATURE_COLUMNS,
     NeighborhoodSpec,
     SpatialIndex,
-    dyadic_measure_from_sphere,
     extract_features,
-    point_product_coefficients,
-    radius_neighbors,
 )
 from .forest import ForestConfig, RandomForestModel, rf_fit, rf_predict_labels
 from .knn import KnnModel, knn_predict_labels

@@ -20,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import ProdcoefError, ValidationError
+from .errors import FormatError, ProdcoefError, ValidationError
 from .evaluation import (
     ClassifierPipeline,
     CrossValPlan,
@@ -293,49 +293,38 @@ def _run_evaluate(args, out: Path, features_path: Path) -> None:
         "seed": args.seed,
     }
 
-    def evaluate(pipe_spec: PipelineSpec, features, extra: dict):
-        pipeline = ClassifierPipeline(pipe_spec)
-        return cross_validate(features, plan, pipeline, f1_average=args.f1,
-                              extra_config={**base_config, **extra})
-
-    reports = []
-    outputs = []
-
-    def save(report, name: str):
-        path = out / name
-        path.write_text(report_to_json(report) + "\n")
-        reports.append(report)
-        outputs.append(path)
-
     if args.table == 1:
         missing = [c for c in FEATURE_COLUMNS if c not in matrix.column_names]
         if missing:
             raise ValidationError(
                 f"table 1 expects the standard feature columns; missing {missing}"
             )
-        sets = {"xyz": matrix.select_columns(XYZ_COLUMNS), "full": matrix}
-        for fs_name, features in sets.items():
-            for clf in ("knn", "rf"):
-                spec = PipelineSpec(
-                    classifier=clf, n_components=None, k=args.k,
-                    n_trees=args.trees, max_depth=args.max_depth, seed=args.seed,
-                )
-                report = evaluate(spec, features, {"feature_set": fs_name})
-                save(report, f"report_t1_{fs_name}_{clf}.json")
+        runs = [(f"report_t1_{fs_name}", features, None, {"feature_set": fs_name})
+                for fs_name, features in (("xyz", matrix.select_columns(XYZ_COLUMNS)),
+                                          ("full", matrix))]
     else:
         lo, hi = args.components
         if hi > matrix.n_cols:
             raise ValidationError(
                 f"component range up to {hi} exceeds the {matrix.n_cols} feature columns"
             )
-        for n in range(lo, hi + 1):
-            for clf in ("knn", "rf"):
-                spec = PipelineSpec(
-                    classifier=clf, n_components=n, k=args.k,
-                    n_trees=args.trees, max_depth=args.max_depth, seed=args.seed,
-                )
-                report = evaluate(spec, matrix, {})
-                save(report, f"report_t2_n{n:02d}_{clf}.json")
+        runs = [(f"report_t2_n{n:02d}", matrix, n, {}) for n in range(lo, hi + 1)]
+
+    reports = []
+    outputs = []
+    for prefix, features, n_components, extra in runs:
+        for clf in ("knn", "rf"):
+            spec = PipelineSpec(
+                classifier=clf, n_components=n_components, k=args.k,
+                n_trees=args.trees, max_depth=args.max_depth, seed=args.seed,
+            )
+            report = cross_validate(features, plan, ClassifierPipeline(spec),
+                                    f1_average=args.f1,
+                                    extra_config={**base_config, **extra})
+            path = out / f"{prefix}_{clf}.json"
+            path.write_text(report_to_json(report) + "\n")
+            reports.append(report)
+            outputs.append(path)
 
     for name, text in render_report(reports).items():
         path = out / TABLE_FILES[name]
@@ -376,8 +365,12 @@ def cmd_report(args) -> int:
         path = Path(path_text)
         try:
             reports.append(report_from_json(path.read_text()))
-        except OSError as exc:
-            raise ValidationError(f"cannot read report {path}: {exc}") from None
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            # ValueError covers bytes that are not UTF-8 and text that is
+            # not JSON; KeyError and TypeError JSON that is not a report.
+            raise FormatError(
+                f"cannot read report {path}: {type(exc).__name__}: {exc}"
+            ) from None
     if not reports:
         raise ValidationError("no reports given")
     artifacts = {TABLE_FILES[name]: text for name, text in render_report(reports).items()}

@@ -19,14 +19,15 @@ whose coordinates on every axis in S are <= the center's, octant 0
 holds L_xyz points and the other seven follow by inclusion-exclusion
 over L_x, L_y, L_z, L_xy, L_xz, L_yz and L_xyz. Every "<=" count is a
 `searchsorted(side="right")` over sorted values, so a coordinate equal
-to the center's is counted as <= and goes left, as in the reference.
+to the center's is counted as <= and goes left, as in the definition.
 The 2-D and 3-D counts split each prefix of a sorted order into aligned
 power-of-two blocks (Bentley, "Multidimensional divide-and-conquer",
 CACM 1980), which takes O(n log^2 n) time for the whole cloud in one
 single-threaded pass. Both regimes yield (n, 8) counts that one
-finishing step turns into coefficients. `dyadic_measure_from_sphere`
-and `point_product_coefficients` are the per-point reference definition
-that the batched path must match bit for bit.
+finishing step turns into coefficients. The reference is the paper's
+definition in `prodcoef.dyadic`: `DyadicTree.from_leaf_masses` of a
+neighborhood's octant counts, then `coefficients_from_measure`. The
+tests build their oracle from it and compare bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicTree, coefficients_from_measure
 from .errors import ValidationError
 from .matrix import FeatureMatrix
 from .pointcloud import PointCloud
@@ -74,18 +74,15 @@ class SpatialIndex:
     sorted ascending, identical to a linear scan.
     """
 
-    def __init__(self, points: np.ndarray, leaf_size: int = 16):
+    def __init__(self, points: np.ndarray):
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValidationError(f"expected (n, 3) points, got {points.shape}")
-        if leaf_size < 1:
-            raise ValidationError(f"leaf_size must be positive, got {leaf_size}")
         # Imported here so that stages which never build a tree do not
         # pay for loading scipy.spatial.
         from scipy.spatial import cKDTree
 
-        self.points = points
-        self._tree = cKDTree(points, leafsize=leaf_size, balanced_tree=True)
+        self._tree = cKDTree(points, leafsize=16, balanced_tree=True)
 
     def query_radius(self, center, radius: float) -> np.ndarray:
         ids = self._tree.query_ball_point(np.asarray(center, dtype=np.float64), radius)
@@ -105,71 +102,12 @@ class SpatialIndex:
         return lengths, ids
 
 
-def radius_neighbors(index: SpatialIndex, center, radius: float) -> np.ndarray:
-    """Ids of all points within Euclidean distance <= radius of center."""
-    if radius <= 0:
-        raise ValidationError(f"radius must be positive, got {radius}")
-    return index.query_radius(center, radius)
-
-
-def dyadic_measure_from_sphere(neighbors: np.ndarray, center) -> DyadicTree:
-    """Depth-3 counting measure of a neighborhood, sliced x -> y -> z.
-
-    Each split plane passes through the center's own coordinate; a
-    point with coordinate <= the center's goes to the left child.
-    """
-    neighbors = np.asarray(neighbors, dtype=np.float64).reshape(-1, 3)
-    if len(neighbors) == 0:
-        raise ValidationError("empty neighborhood: no points to measure")
-    center = np.asarray(center, dtype=np.float64).reshape(3)
-    right = neighbors > center  # False (<=) -> left child
-    codes = right[:, 0] * 4 + right[:, 1] * 2 + right[:, 2] * 1
-    counts = np.bincount(codes, minlength=8)
-    return DyadicTree.from_leaf_masses(counts)
-
-
-@dataclass(frozen=True)
-class PcFeatureRow:
-    """The seven level-order coefficients of one point's neighborhood."""
-
-    a_s: float
-    a_ls: float
-    a_rs: float
-    a_lls: float
-    a_rls: float
-    a_lrs: float
-    a_rrs: float
-    neighbor_count: int
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.a_s, self.a_ls, self.a_rs, self.a_lls, self.a_rls, self.a_lrs, self.a_rrs]
-        )
-
-
-def point_product_coefficients(tree: DyadicTree) -> PcFeatureRow:
-    """Read the 1 + 2 + 4 non-leaf coefficients off a depth-3 tree."""
-    if tree.depth != 3:
-        raise ValidationError(f"expected a depth-3 tree, got depth {tree.depth}")
-    coeffs = coefficients_from_measure(tree).a
-    return PcFeatureRow(
-        a_s=float(coeffs[1]),
-        a_ls=float(coeffs[2]),
-        a_rs=float(coeffs[3]),
-        a_lls=float(coeffs[4]),
-        a_rls=float(coeffs[5]),
-        a_lrs=float(coeffs[6]),
-        a_rrs=float(coeffs[7]),
-        neighbor_count=int(tree.root_mass),
-    )
-
-
 def _coefficients_from_octant_counts(counts: np.ndarray) -> np.ndarray:
     """Vectorized (n, 8) octant counts -> (n, 7) level-order coefficients.
 
     Exactly the same float operations as DyadicTree.from_leaf_masses
     followed by coefficients_from_measure, so the batched count gives
-    the per-point reference's features bit for bit.
+    the dyadic definition's coefficients bit for bit.
     """
     leaf = counts.T.astype(np.float64, order="C")
     n4 = leaf[0] + leaf[1]

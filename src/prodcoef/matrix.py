@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,18 +132,32 @@ def check_finite_rows(values: np.ndarray, row_nums: list[int], path, what: str) 
         raise FormatError(f"{path} row {row_nums[first]}: non-finite {what}")
 
 
-def read_feature_csv(path) -> FeatureMatrix:
-    """Read a feature CSV written by `write_feature_csv`.
+@contextmanager
+def csv_rows(path):
+    """csv.reader over the file at `path`.
 
-    A trailing `label` column, when present in the header, is parsed as
-    the integer label vector.
+    A file that cannot be opened, cannot be decoded as text or breaks
+    the CSV reader (a field over its size limit, say) is a FormatError
+    naming the file.
     """
     try:
         handle = open(path, "r", newline="")
     except OSError as exc:
         raise FormatError(f"cannot open {path}: {exc}") from None
     with handle:
-        reader = csv.reader(handle)
+        try:
+            yield csv.reader(handle)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise FormatError(f"{path}: not a readable CSV file: {exc}") from None
+
+
+def read_feature_csv(path) -> FeatureMatrix:
+    """Read a feature CSV written by `write_feature_csv`.
+
+    A trailing `label` column, when present in the header, is parsed as
+    the integer label vector.
+    """
+    with csv_rows(path) as reader:
         try:
             header = next(reader)
         except StopIteration:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .matrix import FeatureMatrix, check_finite_rows, parse_label, write_feature_csv
+from .matrix import FeatureMatrix, check_finite_rows, csv_rows, parse_label, write_feature_csv
 
 NORMALIZE_MODES = ("per-axis", "uniform")
 XYZ_COLUMNS = ("x", "y", "z")
@@ -118,12 +117,7 @@ def read_csv(path, has_label: bool = False) -> PointCloud:
     coords: list[tuple[float, float, float]] = []
     row_nums: list[int] = []
     labels: list[int] = []
-    try:
-        handle = open(path, "r", newline="")
-    except OSError as exc:
-        raise FormatError(f"cannot open {path}: {exc}") from None
-    with handle:
-        reader = csv.reader(handle)
+    with csv_rows(path) as reader:
         for row_num, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue

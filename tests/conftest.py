@@ -1,6 +1,9 @@
-"""Shared fixtures: a minimal LAS writer for reader tests.
+"""Shared fixtures: a minimal LAS writer for reader tests, and the
+paper's per-point feature definition as the oracle for the batched
+feature kernel.
 
-Only used to fabricate test inputs; the package itself never writes LAS.
+The LAS writer only fabricates test inputs; the package itself never
+writes LAS.
 """
 
 from __future__ import annotations
@@ -9,6 +12,18 @@ import struct
 
 import numpy as np
 import pytest
+
+from prodcoef.dyadic import DyadicTree, coefficients_from_measure
+
+
+def dyadic_coefficients(neighbors, center):
+    """The seven level-order coefficients of the depth-3 counting measure of
+    `neighbors` sliced at `center` (x, then y, then z; <= center goes left),
+    computed by the definition in prodcoef.dyadic."""
+    right = np.asarray(neighbors).reshape(-1, 3) > np.asarray(center).reshape(3)
+    counts = np.bincount(right[:, 0] * 4 + right[:, 1] * 2 + right[:, 2], minlength=8)
+    return coefficients_from_measure(DyadicTree.from_leaf_masses(counts)).level_order
+
 
 FORMAT_MIN_LEN = {0: 20, 1: 28, 2: 26, 3: 34, 4: 57, 5: 63, 6: 30, 7: 36, 8: 38}
 

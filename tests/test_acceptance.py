@@ -27,13 +27,7 @@ from prodcoef.evaluation import (
     cross_validate,
     macro_f1,
 )
-from prodcoef.features import (
-    NeighborhoodSpec,
-    SpatialIndex,
-    dyadic_measure_from_sphere,
-    extract_features,
-    point_product_coefficients,
-)
+from prodcoef.features import NeighborhoodSpec, SpatialIndex, extract_features
 from prodcoef.forest import ForestConfig, forest_to_json, rf_fit, rf_predict_labels
 from prodcoef.knn import KnnModel, knn_predict_labels
 from prodcoef.las import read_las
@@ -41,6 +35,8 @@ from prodcoef.matrix import FeatureMatrix
 from prodcoef.pca import fit_pca, transform
 from prodcoef.pointcloud import PointCloud, normalize_unit_cube
 from prodcoef.synth import SceneSpec, generate_scene
+
+from conftest import dyadic_coefficients
 
 # Frozen desk-scale experiment configuration (criterion 8).
 SCENE = SceneSpec(classes=4, points_per_class=500, separation=1.0, seed=11)
@@ -113,14 +109,13 @@ def test_criterion_04_neighborhood_oracle_equivalence():
         spec = NeighborhoodSpec(radius=radius)
         fm = extract_features(cloud, spec)
 
-        # Oracle: full O(n^2) distance scan, same downstream arithmetic.
+        # Oracle: full O(n^2) distance scan, then the dyadic definition.
         d2 = ((cloud.xyz[:, None, :] - cloud.xyz[None, :, :]) ** 2).sum(axis=2)
         raw = np.empty((n, 10))
         raw[:, :3] = cloud.xyz
         for i in range(n):
             ids = np.nonzero(d2[i] <= radius * radius)[0]
-            tree = dyadic_measure_from_sphere(cloud.xyz[ids], cloud.xyz[i])
-            raw[i, 3:] = point_product_coefficients(tree).as_array()
+            raw[i, 3:] = dyadic_coefficients(cloud.xyz[ids], cloud.xyz[i])
         mins, maxs = raw.min(axis=0), raw.max(axis=0)
         span = np.where(maxs == mins, 1.0, maxs - mins)
         expected = np.where(maxs == mins, 0.5, (raw - mins) / span)

@@ -81,6 +81,21 @@ def test_bad_feature_file_gives_io_exit(tmp_path, capsys, row):
     assert "row 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe" + "x,y,z,label\n0,0,0,1\n".encode("utf-16-le"),
+    b"x,y,z,label\n" + b"1" * 200_000 + b",0,0,1\n",
+], ids=["utf-16", "long field"])
+@pytest.mark.parametrize("command", [
+    ["features", "--has-label", "--input"],
+    ["evaluate", "--features"],
+], ids=["features", "evaluate"])
+def test_unreadable_csv_gives_io_exit(tmp_path, capsys, content, command):
+    bad = tmp_path / "bin.csv"
+    bad.write_bytes(content)
+    assert main([*command, str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "bin.csv" in capsys.readouterr().err
+
+
 def test_corrupt_las_gives_consistency_exit(tmp_path):
     bad = tmp_path / "bad.las"
     bad.write_bytes(build_las(raw_xyz=[(i, i, i) for i in range(5)], declared_count=9))
@@ -266,6 +281,16 @@ def test_report_rerenders_tables(tmp_path, scene_csv):
     rendered = (report_out / "table2.csv").read_text()
     original = (eval_out / "table2.csv").read_text()
     assert rendered == original
+
+
+@pytest.mark.parametrize("content", [None, "not json\n", '{"mean_f1": 0.5}\n'],
+                         ids=["missing", "not json", "no per_fold_f1"])
+def test_unreadable_report_gives_io_exit(tmp_path, capsys, content):
+    path = tmp_path / "report_t2_n03_knn.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["report", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "report_t2_n03_knn.json" in capsys.readouterr().err
 
 
 def test_report_reproduces_evaluate_table1(tmp_path, scene_csv):

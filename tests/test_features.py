@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodcoef.dyadic import DyadicTree
 from prodcoef.errors import ValidationError
 from prodcoef.features import (
     FEATURE_COLUMNS,
@@ -17,12 +16,11 @@ from prodcoef.features import (
     _finish_octant_counts,
     _octant_counts_radius,
     _octant_counts_whole_cloud,
-    dyadic_measure_from_sphere,
     extract_features,
-    point_product_coefficients,
-    radius_neighbors,
 )
 from prodcoef.pointcloud import PointCloud, normalize_unit_cube
+
+from conftest import dyadic_coefficients
 
 
 def naive_radius_neighbors(points, center, radius):
@@ -53,8 +51,8 @@ def rescale_columns(raw):
 
 
 def naive_scan_features(cloud, spec):
-    """Oracle features: naive-scan neighborhoods through the per-point
-    reference measure and coefficients, then the min-max rescale.
+    """Oracle features: naive-scan neighborhoods through the dyadic
+    definition of the coefficients, then the min-max rescale.
 
     Returns (values, empty rows); values is None when a neighborhood is
     empty, since extraction must then fail.
@@ -70,8 +68,7 @@ def naive_scan_features(cloud, spec):
         if len(ids) == 0:
             empty.append(i)
             continue
-        tree = dyadic_measure_from_sphere(xyz[ids], xyz[i])
-        raw[i, 3:] = point_product_coefficients(tree).as_array()
+        raw[i, 3:] = dyadic_coefficients(xyz[ids], xyz[i])
     return (None if empty else rescale_columns(raw)), empty
 
 
@@ -79,14 +76,14 @@ class TestRadiusNeighbors:
     def test_collinear_points(self):
         pts = np.array([[0, 0, 0], [0.3, 0, 0], [0.9, 0, 0]])
         index = SpatialIndex(pts)
-        assert radius_neighbors(index, pts[0], 0.5).tolist() == [0, 1]
+        assert index.query_radius(pts[0], 0.5).tolist() == [0, 1]
 
     def test_radius_two_covers_unit_cube(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(size=(40, 3))
         index = SpatialIndex(pts)
         for center in pts[:5]:
-            assert radius_neighbors(index, center, 2.0).tolist() == list(range(40))
+            assert index.query_radius(center, 2.0).tolist() == list(range(40))
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(1)
@@ -95,7 +92,7 @@ class TestRadiusNeighbors:
         for _ in range(50):
             center = rng.uniform(size=3)
             radius = rng.uniform(0.01, 0.9)
-            got = radius_neighbors(index, center, radius)
+            got = index.query_radius(center, radius)
             expected = naive_radius_neighbors(pts, center, radius)
             np.testing.assert_array_equal(got, expected)
 
@@ -103,7 +100,7 @@ class TestRadiusNeighbors:
         rng = np.random.default_rng(2)
         pts = rng.uniform(size=(100, 3))
         index = SpatialIndex(pts)
-        ids = radius_neighbors(index, pts[17], 0.4)
+        ids = index.query_radius(pts[17], 0.4)
         assert (np.diff(ids) > 0).all()
 
     def test_many_centers_match_single_queries(self):
@@ -115,47 +112,47 @@ class TestRadiusNeighbors:
         offsets = np.concatenate([[0], np.cumsum(lengths)])
         for k in range(40):
             got = np.sort(ids[offsets[k]:offsets[k + 1]])
-            np.testing.assert_array_equal(got, radius_neighbors(index, pts[k], 0.2))
+            np.testing.assert_array_equal(got, index.query_radius(pts[k], 0.2))
 
-    def test_non_positive_radius_rejected(self):
-        index = SpatialIndex(np.zeros((1, 3)))
-        with pytest.raises(ValidationError):
-            radius_neighbors(index, np.zeros(3), 0.0)
+
+def corner_cube_cloud():
+    """A center followed by the eight corners of a cube around it."""
+    center = np.array([0.5, 0.5, 0.5])
+    offsets = np.array(
+        [
+            [dx, dy, dz]
+            for dx in (-0.1, 0.1)
+            for dy in (-0.1, 0.1)
+            for dz in (-0.1, 0.1)
+        ]
+    )
+    return np.vstack([center, center + offsets])
 
 
 class TestSphereMeasure:
     def test_center_only(self):
-        tree = dyadic_measure_from_sphere(np.array([[0.5, 0.5, 0.5]]), [0.5, 0.5, 0.5])
-        assert tree.root_mass == 1.0
+        xyz = np.array([[0.5, 0.5, 0.5]])
         # The <=-goes-left rule routes the center into the leftmost leaf.
-        assert tree.node_measure[[1, 2, 4, 8]].tolist() == [1, 1, 1, 1]
-        assert tree.node_measure[[3, 5, 9]].tolist() == [0, 0, 0]
+        expected = [[1, 0, 0, 0, 0, 0, 0, 0]]
+        assert _octant_counts_whole_cloud(xyz).tolist() == expected
+        assert _octant_counts_radius(xyz, SpatialIndex(xyz), 0.1, 0, 1).tolist() == expected
 
     def test_symmetric_corner_cube(self):
-        center = np.array([0.5, 0.5, 0.5])
-        offsets = np.array(
-            [
-                [dx, dy, dz]
-                for dx in (-0.1, 0.1)
-                for dy in (-0.1, 0.1)
-                for dz in (-0.1, 0.1)
-            ]
-        )
-        tree = dyadic_measure_from_sphere(center + offsets, center)
-        assert tree.node_measure[1] == 8.0
-        assert tree.node_measure[2:4].tolist() == [4, 4]
-        assert tree.node_measure[4:8].tolist() == [2, 2, 2, 2]
-        assert tree.node_measure[8:16].tolist() == [1] * 8
+        xyz = corner_cube_cloud()
+        counts = _octant_counts_radius(xyz, SpatialIndex(xyz), 0.2, 0, 1)
+        assert counts.tolist() == [[2, 1, 1, 1, 1, 1, 1, 1]]
+        np.testing.assert_array_equal(_octant_counts_whole_cloud(xyz)[:1], counts)
+        sizes, _ = _finish_octant_counts(counts, include_center=False)
+        assert sizes.tolist() == [8]
+        assert counts.tolist() == [[1] * 8]
 
     def test_matches_triple_loop_partition(self):
-        # Oracle: explicit per-axis if/else partition of every neighbor.
+        # Oracle: explicit per-axis if/else partition of every point.
         rng = np.random.default_rng(5)
-        pts = rng.uniform(size=(300, 3))
-        for _ in range(30):
-            center = rng.uniform(size=3)
-            tree = dyadic_measure_from_sphere(pts, center)
-            counts = np.zeros(8)
-            for p in pts:
+        xyz = rng.uniform(size=(330, 3))
+        expected = np.zeros((30, 8), dtype=np.int64)
+        for row, center in enumerate(xyz[:30]):
+            for p in xyz:
                 i = 0
                 if p[0] > center[0]:
                     i += 4
@@ -163,43 +160,32 @@ class TestSphereMeasure:
                     i += 2
                 if p[2] > center[2]:
                     i += 1
-                counts[i] += 1
-            np.testing.assert_array_equal(tree.leaf_masses, counts)
-            tree.validate_additivity()
-
-    def test_empty_neighborhood_rejected(self):
-        with pytest.raises(ValidationError, match="empty"):
-            dyadic_measure_from_sphere(np.empty((0, 3)), np.zeros(3))
+                expected[row, i] += 1
+        np.testing.assert_array_equal(_octant_counts_whole_cloud(xyz)[:30], expected)
+        index = SpatialIndex(xyz)
+        np.testing.assert_array_equal(_octant_counts_radius(xyz, index, 2.0, 0, 30), expected)
 
 
 class TestPointCoefficients:
     def test_center_only_row(self):
-        tree = dyadic_measure_from_sphere(np.array([[0.2, 0.2, 0.2]]), [0.2, 0.2, 0.2])
-        row = point_product_coefficients(tree)
-        assert row.as_array().tolist() == [1, 1, 0, 1, 0, 0, 0]
-        assert row.neighbor_count == 1
+        counts = _octant_counts_whole_cloud(np.array([[0.2, 0.2, 0.2]]))
+        sizes, coefficients = _finish_octant_counts(counts, include_center=True)
+        assert coefficients.tolist() == [[1, 1, 0, 1, 0, 0, 0]]
+        assert sizes.tolist() == [1]
 
     def test_symmetric_row_is_all_zero(self):
-        center = np.array([0.5, 0.5, 0.5])
-        offsets = np.array(
-            [
-                [dx, dy, dz]
-                for dx in (-0.1, 0.1)
-                for dy in (-0.1, 0.1)
-                for dz in (-0.1, 0.1)
-            ]
-        )
-        tree = dyadic_measure_from_sphere(center + offsets, center)
-        assert point_product_coefficients(tree).as_array().tolist() == [0] * 7
+        xyz = corner_cube_cloud()
+        counts = _octant_counts_radius(xyz, SpatialIndex(xyz), 0.2, 0, 1)
+        _, coefficients = _finish_octant_counts(counts, include_center=False)
+        assert coefficients.tolist() == [[0] * 7]
 
     def test_quarter_mass_left_at_root(self):
-        tree = DyadicTree.from_leaf_masses([0.25, 0, 0, 0, 0.75, 0, 0, 0])
-        row = point_product_coefficients(tree)
-        assert row.a_s == -0.5
-
-    def test_wrong_depth_rejected(self):
-        with pytest.raises(ValidationError):
-            point_product_coefficients(DyadicTree.from_leaf_masses([1, 1]))
+        # One point (the center) left of the root split, three right of it.
+        xyz = np.array([[0.5, 0.5, 0.5], [0.6, 0.4, 0.4], [0.7, 0.5, 0.5], [0.8, 0.3, 0.2]])
+        counts = _octant_counts_whole_cloud(xyz)[:1]
+        assert counts.tolist() == [[1, 0, 0, 0, 3, 0, 0, 0]]
+        _, coefficients = _finish_octant_counts(counts, include_center=True)
+        assert coefficients[0, 0] == -0.5
 
 
 class TestExtractFeatures:
@@ -224,10 +210,10 @@ class TestExtractFeatures:
         rng = np.random.default_rng(3)
         cloud = normalize_unit_cube(PointCloud(xyz=rng.uniform(size=(30, 3))))
         index = SpatialIndex(cloud.xyz)
-        for i in range(len(cloud)):
-            ids = radius_neighbors(index, cloud.xyz[i], 2.0)
-            tree = dyadic_measure_from_sphere(cloud.xyz[ids], cloud.xyz[i])
-            assert point_product_coefficients(tree).neighbor_count == 30
+        for counts in (_octant_counts_radius(cloud.xyz, index, 2.0, 0, 30),
+                       _octant_counts_whole_cloud(cloud.xyz)):
+            sizes, _ = _finish_octant_counts(counts, include_center=True)
+            assert sizes.tolist() == [30] * 30
 
     def test_columns_span_unit_interval_or_half(self):
         rng = np.random.default_rng(4)

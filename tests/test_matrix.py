@@ -87,6 +87,17 @@ def test_csv_errors(tmp_path):
         read_feature_csv(tmp_path / "missing.csv")
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"\xff\xfe" + "a,label\n0.1,1\n".encode("utf-16-le"), "can't decode"),
+    (b"a,label\n" + b"1" * 200_000 + b",1\n", "field limit"),
+], ids=["utf-16", "long field"])
+def test_csv_unreadable_text_names_file(tmp_path, content, reason):
+    path = tmp_path / "m.csv"
+    path.write_bytes(content)
+    with pytest.raises(FormatError, match=f"m.csv: .*{reason}"):
+        read_feature_csv(path)
+
+
 @pytest.mark.parametrize("feature, label, reason", [
     ("nan", "1", "non-finite feature value"),
     ("-inf", "1", "non-finite feature value"),

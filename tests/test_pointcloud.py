@@ -77,6 +77,17 @@ def test_read_csv_missing_file(tmp_path):
         read_csv(tmp_path / "nope.csv")
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"\xff\xfe" + "x,y,z\n0,0,0\n".encode("utf-16-le"), "can't decode"),
+    (b"x,y,z\n" + b"1" * 200_000 + b",0,0\n", "field limit"),
+], ids=["utf-16", "long field"])
+def test_read_csv_unreadable_text_names_file(tmp_path, content, reason):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(content)
+    with pytest.raises(FormatError, match=f"pts.csv: .*{reason}"):
+        read_csv(path)
+
+
 def test_write_csv_exact_text(tmp_path):
     labeled = tmp_path / "labeled.csv"
     write_csv(PointCloud(xyz=[[0.1, 2.0, -3.5], [1e-17, 0.0, 7.0]], labels=[4, -2]), labeled)
