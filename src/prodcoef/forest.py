@@ -13,6 +13,25 @@ without replacement; thresholds are the midpoints between consecutive
 distinct sorted values; a node becomes a leaf when it is pure, smaller
 than min_samples_split, at the depth cap, or no split has strictly
 positive Gini gain.
+
+The builder presorts the columns once per forest (a stable argsort, so
+ties keep row order, as in SLIQ). Each tree keeps the distinct rows of
+its bootstrap sample and weights them by how often they were drawn: a
+node's order matrix lists its rows sorted by each column, one gather
+and one cumsum of the weighted one-hot labels give every candidate's
+left class counts, and a stable boolean partition hands each child its
+own order matrix, so no node sorts or bincounts. This grows the same
+trees as splitting the duplicated rows. A gain at a boundary between
+distinct values depends only on the class counts to its left, which
+weights reproduce exactly; the gain keeps the float expression of the
+duplicated-row split, and its sums of squared integer counts are exact
+in float64. Boundaries inside a run of equal values never qualify, so
+dropping duplicates removes no candidate.
+
+The threshold between neighbours lo < hi is lo + (hi - lo) / 2, unless
+hi - lo overflows; then it is lo / 2 + hi / 2. A boundary whose
+midpoint rounds up to hi (adjacent floats) is skipped, because the
+threshold would not separate the two values.
 """
 
 from __future__ import annotations
@@ -23,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FormatError, ValidationError
 from .matrix import FeatureMatrix
 
 
@@ -94,63 +113,78 @@ def _gini(counts: np.ndarray, total: int) -> float:
     return 1.0 - float((p * p).sum())
 
 
-def _best_split(X_node: np.ndarray, y_node: np.ndarray, counts: np.ndarray,
-                features: np.ndarray):
-    """Best (feature, threshold) by Gini gain over sampled features.
+def _best_split(columns: np.ndarray, rows: np.ndarray, table: np.ndarray,
+                totals: np.ndarray, features: np.ndarray, wide: bool):
+    """Best (feature, cut, threshold, left totals) by Gini gain over the
+    sampled features of one node.
 
-    Returns (feature, threshold, gain) or None when no candidate has
-    strictly positive gain. `features` must be sorted ascending so the
-    first argmax hit honors the lowest-feature tie-break; within one
-    feature, thresholds ascend with sort position, so the first argmax
-    hit is the lowest threshold.
+    `columns` is the training matrix transposed. `rows` is the node's
+    (n_features, n) order matrix: row f lists the node's distinct rows
+    sorted by column f. `table` holds each row's weighted one-hot class
+    counts plus its weight in the last column, and `totals` is the
+    node's sum of it. The first `cut` entries of the winning feature's
+    order go left. `wide` says some column's span overflows, so a
+    midpoint may need the overflow-safe form. Returns None when no
+    candidate has strictly positive gain. `features` must be sorted
+    ascending so the first argmax hit honors the lowest-feature
+    tie-break; within one feature, thresholds ascend with sort position,
+    so the first argmax hit is the lowest threshold.
     """
-    n, n_classes = len(y_node), len(counts)
-    sub = X_node[:, features]
-    order = np.argsort(sub, axis=0, kind="stable")
-    xs = np.take_along_axis(sub, order, axis=0)
-    ys = y_node[order]
+    n = int(totals[-1])
+    order = rows[features]
+    xs = columns[features[:, None], order]
+    cum = np.cumsum(table.take(order, axis=0), axis=1)
 
-    onehot = ys[:, :, None] == np.arange(n_classes)
-    cum = np.cumsum(onehot, axis=0)
-
-    cum_left = cum[:-1].astype(np.float64)  # counts at split "after row i"
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
-    n_right = n - n_left
-    sumsq_left = (cum_left**2).sum(axis=2)
-    cum_right = counts.astype(np.float64) - cum_left
-    sumsq_right = (cum_right**2).sum(axis=2)
+    left = cum[:, :-1]  # class counts and size at split "after entry i"
+    right = totals - left
+    sumsq_left = np.einsum("ijk,ijk->ij", left[..., :-1], left[..., :-1])
+    sumsq_right = np.einsum("ijk,ijk->ij", right[..., :-1], right[..., :-1])
+    n_left, n_right = left[..., -1], right[..., -1]
     weighted = (n_left - sumsq_left / n_left + n_right - sumsq_right / n_right) / n
-    gain = _gini(counts, n) - weighted
+    gain = _gini(totals[:-1], n) - weighted
 
-    mid = xs[:-1] + (xs[1:] - xs[:-1]) / 2.0
-    valid = (xs[1:] != xs[:-1]) & (mid < xs[1:])
-    gain = np.where(valid, gain, -np.inf)
+    lo, hi = xs[:, :-1], xs[:, 1:]
+    if wide:
+        with np.errstate(over="ignore"):
+            step = hi - lo
+            mid = np.where(np.isinf(step), lo / 2 + hi / 2, lo + step / 2.0)
+    else:
+        mid = lo + (hi - lo) / 2.0
+    # Equal neighbours give mid == hi, so this also rejects ties.
+    gain = np.where(mid < hi, gain, -np.inf)
 
-    best_pos = np.argmax(gain, axis=0)
-    feature_cols = np.arange(len(features))
-    best_gain = gain[best_pos, feature_cols]
-    winner = int(np.argmax(best_gain))
-    if not best_gain[winner] > 0.0:
+    # The first maximum in row-major order is the lowest feature, then
+    # the lowest threshold.
+    winner, pos = divmod(int(np.argmax(gain)), gain.shape[1])
+    if not gain[winner, pos] > 0.0:
         return None
-    return (
-        int(features[winner]),
-        float(mid[best_pos[winner], winner]),
-        float(best_gain[winner]),
-    )
+    return int(features[winner]), pos + 1, float(mid[winner, pos]), cum[winner, pos]
 
 
-def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int, config: ForestConfig,
-                rng: np.random.Generator) -> _Tree:
-    n_rows, n_features = X.shape
+def _build_tree(columns: np.ndarray, order: np.ndarray, wide: bool, y: np.ndarray,
+                n_classes: int, config: ForestConfig, rng: np.random.Generator) -> _Tree:
+    n_features, n_rows = columns.shape
     m_try = math.ceil(math.sqrt(n_features))
-    sample = rng.integers(0, n_rows, size=n_rows)
+    weight = np.bincount(rng.integers(0, n_rows, size=n_rows), minlength=n_rows)
+    table = np.zeros((n_rows, n_classes + 1), dtype=np.int64)
+    table[np.arange(n_rows), y] = weight
+    table[:, n_classes] = weight
+
+    def can_split(totals, depth):
+        if config.max_depth is not None and depth >= config.max_depth:
+            return False
+        *counts, size = totals.tolist()
+        return size >= config.min_samples_split and max(counts) < size
 
     tree = _Tree()
-    # Stack of (row indices, depth, parent node, is_left_child); popping
-    # left children first keeps the RNG draw order a fixed preorder walk.
-    stack: list[tuple[np.ndarray, int, int, bool]] = [(sample, 0, -1, False)]
+    totals = table.sum(axis=0)
+    root = order[(weight > 0)[order]].reshape(n_features, -1)
+    # Stack of (order matrix, or None for a leaf; class counts plus size;
+    # depth; parent node; is_left_child). Popping left children first
+    # keeps the RNG draw order a fixed preorder walk.
+    stack = [(root if can_split(totals, 0) else None, totals, 0, -1, False)]
     while stack:
-        rows, depth, parent, is_left = stack.pop()
+        rows, totals, depth, parent, is_left = stack.pop()
         node = tree.add_node()
         if parent >= 0:
             if is_left:
@@ -158,23 +192,31 @@ def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int, config: ForestConf
             else:
                 tree.right[parent] = node
 
-        y_node = y[rows]
-        counts = np.bincount(y_node, minlength=n_classes)
-        at_cap = config.max_depth is not None and depth >= config.max_depth
         split = None
-        if len(rows) >= config.min_samples_split and counts.max() < len(rows) and not at_cap:
+        if rows is not None:
             features = np.sort(rng.choice(n_features, size=m_try, replace=False))
-            split = _best_split(X[rows], y_node, counts, features)
+            split = _best_split(columns, rows, table, totals, features, wide)
         if split is None:
-            tree.leaf_counts[node] = counts
+            tree.leaf_counts[node] = totals[:n_classes]
             continue
-        feature, threshold, _ = split
-        go_left = X[rows, feature] <= threshold
+        feature, cut, threshold, left_cum = split
         tree.feature[node] = feature
         tree.threshold[node] = threshold
+        # A copy, so the child does not keep the parent's cumsum alive.
+        left_totals = left_cum.copy()
+        right_totals = totals - left_totals
+        left_rows = right_rows = None
+        left_open = can_split(left_totals, depth + 1)
+        right_open = can_split(right_totals, depth + 1)
+        if left_open or right_open:
+            go_left = (columns[feature][rows] <= threshold).ravel()
+            if left_open:
+                left_rows = rows.compress(go_left).reshape(n_features, cut)
+            if right_open:
+                right_rows = rows.compress(~go_left).reshape(n_features, -1)
         # Push right first so the left child is popped (and built) first.
-        stack.append((rows[~go_left], depth + 1, node, False))
-        stack.append((rows[go_left], depth + 1, node, True))
+        stack.append((right_rows, right_totals, depth + 1, node, False))
+        stack.append((left_rows, left_totals, depth + 1, node, True))
     tree.finalize()
     return tree
 
@@ -189,10 +231,15 @@ def rf_fit(X: FeatureMatrix, config: ForestConfig | None = None) -> RandomForest
 
     classes = np.unique(X.labels)
     y = np.searchsorted(classes, X.labels)
+    columns = np.ascontiguousarray(X.values.T)
+    # Row f lists all rows sorted by column f; stable, so ties keep row order.
+    order = np.argsort(columns, axis=1, kind="stable")
+    with np.errstate(over="ignore"):
+        wide = not np.isfinite(columns.max(axis=1) - columns.min(axis=1)).all()
     trees = []
     for i in range(config.n_trees):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, i]))
-        trees.append(_build_tree(X.values, y, len(classes), config, rng))
+        trees.append(_build_tree(columns, order, wide, y, len(classes), config, rng))
     return RandomForestModel(
         config=config, classes=classes, n_features=X.n_cols, trees=tuple(trees)
     )
@@ -274,24 +321,42 @@ def forest_to_json(model: RandomForestModel) -> str:
 
 
 def forest_from_json(text: str) -> RandomForestModel:
+    """Inverse of forest_to_json. The tree structure is checked on load:
+    children must come after their parent (so routing always ends),
+    features must exist and leaf class codes must be in `classes`."""
     payload = json.loads(text)
     classes = np.asarray(payload["classes"], dtype=np.int64)
+    n_features = int(payload["n_features"])
     class_pos = {c: i for i, c in enumerate(classes.tolist())}
     trees = []
-    for nodes in payload["trees"]:
+    for t, nodes in enumerate(payload["trees"]):
+        if not nodes:
+            raise FormatError(f"forest tree {t} has no nodes")
         tree = _Tree()
         for spec in nodes:
             i = tree.add_node()
+            where = f"forest tree {t} node {i}"
             if "leaf_counts" in spec:
                 counts = np.zeros(len(classes), dtype=np.int64)
                 for code, count in spec["leaf_counts"].items():
+                    if int(code) not in class_pos:
+                        raise FormatError(f"{where}: leaf class {code} is not in classes")
                     counts[class_pos[int(code)]] = count
                 tree.leaf_counts[i] = counts
-            else:
-                tree.feature[i] = spec["feature"]
-                tree.threshold[i] = spec["threshold"]
-                tree.left[i] = spec["left"]
-                tree.right[i] = spec["right"]
+                continue
+            feature, left, right = spec["feature"], spec["left"], spec["right"]
+            if not (type(feature) is int and 0 <= feature < n_features):
+                raise FormatError(
+                    f"{where}: feature {feature} outside [0, {n_features})"
+                )
+            if not all(type(c) is int and i < c < len(nodes) for c in (left, right)):
+                raise FormatError(
+                    f"{where}: children {left}, {right} must lie in ({i}, {len(nodes)})"
+                )
+            tree.feature[i] = feature
+            tree.threshold[i] = spec["threshold"]
+            tree.left[i] = left
+            tree.right[i] = right
         tree.finalize()
         trees.append(tree)
     cfg = payload["config"]

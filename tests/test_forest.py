@@ -1,9 +1,16 @@
+import hashlib
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prodcoef.errors import ValidationError
+from prodcoef.errors import FormatError, ValidationError
+from prodcoef.evaluation import CrossValPlan, fold_assignment
+from prodcoef.features import NeighborhoodSpec, extract_features
 from prodcoef.forest import (
     ForestConfig,
     RandomForestModel,
@@ -15,6 +22,9 @@ from prodcoef.forest import (
     rf_predict_labels,
 )
 from prodcoef.matrix import FeatureMatrix
+from prodcoef.pca import fit_pca, transform
+from prodcoef.pointcloud import normalize_unit_cube
+from prodcoef.synth import SceneSpec, generate_scene
 
 
 def _matrix(values, labels=None):
@@ -229,3 +239,248 @@ def test_bad_config_rejected():
         ForestConfig(min_samples_split=1)
     with pytest.raises(ValidationError):
         ForestConfig(seed=-1)
+
+
+# The reference builder: one Python stack iteration per node, which
+# bincounts the node's duplicated bootstrap rows and argsorts its
+# candidate columns. rf_fit must grow exactly these trees.
+
+
+def _reference_gini(counts, total):
+    p = counts / total
+    return 1.0 - float((p * p).sum())
+
+
+def _reference_best_split(X_node, y_node, counts, features):
+    n, n_classes = len(y_node), len(counts)
+    sub = X_node[:, features]
+    order = np.argsort(sub, axis=0, kind="stable")
+    xs = np.take_along_axis(sub, order, axis=0)
+    ys = y_node[order]
+
+    onehot = ys[:, :, None] == np.arange(n_classes)
+    cum = np.cumsum(onehot, axis=0)
+
+    cum_left = cum[:-1].astype(np.float64)  # counts at split "after row i"
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    n_right = n - n_left
+    sumsq_left = (cum_left**2).sum(axis=2)
+    cum_right = counts.astype(np.float64) - cum_left
+    sumsq_right = (cum_right**2).sum(axis=2)
+    weighted = (n_left - sumsq_left / n_left + n_right - sumsq_right / n_right) / n
+    gain = _reference_gini(counts, n) - weighted
+
+    mid = xs[:-1] + (xs[1:] - xs[:-1]) / 2.0
+    valid = (xs[1:] != xs[:-1]) & (mid < xs[1:])
+    gain = np.where(valid, gain, -np.inf)
+
+    best_pos = np.argmax(gain, axis=0)
+    feature_cols = np.arange(len(features))
+    best_gain = gain[best_pos, feature_cols]
+    winner = int(np.argmax(best_gain))
+    if not best_gain[winner] > 0.0:
+        return None
+    return (
+        int(features[winner]),
+        float(mid[best_pos[winner], winner]),
+        float(best_gain[winner]),
+    )
+
+
+def _reference_build_tree(X, y, n_classes, config, rng):
+    n_rows, n_features = X.shape
+    m_try = math.ceil(math.sqrt(n_features))
+    sample = rng.integers(0, n_rows, size=n_rows)
+
+    tree = _Tree()
+    stack = [(sample, 0, -1, False)]
+    while stack:
+        rows, depth, parent, is_left = stack.pop()
+        node = tree.add_node()
+        if parent >= 0:
+            if is_left:
+                tree.left[parent] = node
+            else:
+                tree.right[parent] = node
+
+        y_node = y[rows]
+        counts = np.bincount(y_node, minlength=n_classes)
+        at_cap = config.max_depth is not None and depth >= config.max_depth
+        split = None
+        if len(rows) >= config.min_samples_split and counts.max() < len(rows) and not at_cap:
+            features = np.sort(rng.choice(n_features, size=m_try, replace=False))
+            split = _reference_best_split(X[rows], y_node, counts, features)
+        if split is None:
+            tree.leaf_counts[node] = counts
+            continue
+        feature, threshold, _ = split
+        go_left = X[rows, feature] <= threshold
+        tree.feature[node] = feature
+        tree.threshold[node] = threshold
+        stack.append((rows[~go_left], depth + 1, node, False))
+        stack.append((rows[go_left], depth + 1, node, True))
+    tree.finalize()
+    return tree
+
+
+def _reference_fit(X, config):
+    classes = np.unique(X.labels)
+    y = np.searchsorted(classes, X.labels)
+    return [
+        _reference_build_tree(
+            X.values, y, len(classes), config,
+            np.random.default_rng(np.random.SeedSequence([config.seed, i])),
+        )
+        for i in range(config.n_trees)
+    ]
+
+
+def _assert_same_trees(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a.feature, b.feature)
+        assert a.threshold.tobytes() == b.threshold.tobytes()
+        np.testing.assert_array_equal(a.left, b.left)
+        np.testing.assert_array_equal(a.right, b.right)
+        assert len(a.leaf_counts) == len(b.leaf_counts)
+        for ca, cb in zip(a.leaf_counts, b.leaf_counts):
+            assert (ca is None) == (cb is None)
+            if ca is not None:
+                np.testing.assert_array_equal(ca, cb)
+
+
+@st.composite
+def tie_grids(draw):
+    """Tie-heavy labeled grids: few distinct values per column, repeated
+    rows, sometimes a constant column and adjacent floats."""
+    n_rows = draw(st.integers(2, 80))
+    n_cols = draw(st.integers(1, 10))
+    levels = draw(st.integers(2, 4))
+    distinct = draw(st.integers(1, n_rows))
+    base = draw(
+        st.lists(
+            st.lists(st.integers(0, levels - 1), min_size=n_cols, max_size=n_cols),
+            min_size=distinct, max_size=distinct,
+        )
+    )
+    values = np.array(base, dtype=float)[np.arange(n_rows) % distinct]
+    values *= draw(st.sampled_from([1.0, 0.1, 1 / 3]))
+    if draw(st.booleans()):
+        values[:, draw(st.integers(0, n_cols - 1))] = 0.7
+    if draw(st.booleans()):
+        # The midpoint of v and nextafter(v) rounds to one of them; when
+        # it rounds up to the upper value that boundary is skipped.
+        col = draw(st.integers(0, n_cols - 1))
+        bumped = np.array(draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
+        values[:, col] += 1.0
+        values[bumped, col] = np.nextafter(values[bumped, col], np.inf)
+    n_classes = draw(st.integers(2, 4))
+    labels = np.array([1, 2, 6, 9])[
+        draw(st.lists(st.integers(0, n_classes - 1), min_size=n_rows, max_size=n_rows))
+    ]
+    config = ForestConfig(
+        n_trees=draw(st.integers(1, 3)),
+        max_depth=draw(st.sampled_from([None, 0, 1, 3])),
+        min_samples_split=draw(st.sampled_from([2, 5])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return _matrix(values, labels), config
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_grids())
+def test_trees_equal_reference_builder(case):
+    X, config = case
+    _assert_same_trees(rf_fit(X, config).trees, _reference_fit(X, config))
+
+
+def test_adjacent_float_boundary_is_skipped_when_midpoint_rounds_up():
+    lo = 1.0 + 2.0**-52
+    hi = np.nextafter(lo, np.inf)
+    assert lo + (hi - lo) / 2.0 == hi
+    X = _matrix([[lo], [hi]] * 4, [0, 1] * 4)
+    model = rf_fit(X, ForestConfig(n_trees=3, seed=0))
+    assert all(len(tree.feature) == 1 for tree in model.trees)
+    _assert_same_trees(model.trees, _reference_fit(X, ForestConfig(n_trees=3, seed=0)))
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_forest_bytes():
+    # Pins the RNG layout: bootstrap draw, candidate draw per node in
+    # preorder, splits and leaf counts.
+    rng = np.random.default_rng(7)
+    X = FeatureMatrix(
+        rng.integers(0, 4, size=(300, 6)).astype(float),
+        tuple("abcdef"),
+        rng.integers(0, 3, 300),
+    )
+    assert _sha256(forest_to_json(rf_fit(X, ForestConfig(n_trees=5, seed=42)))) == (
+        "bae7e4fa706bbf19e42c63104d39082edfd4524ee7dd3cc9ac766a74bd867957"
+    )
+
+
+def test_golden_forest_bytes_on_pca_fold():
+    cloud = normalize_unit_cube(generate_scene(SceneSpec(points_per_class=60, seed=5)))
+    features = extract_features(cloud, NeighborhoodSpec(radius=0.2))
+    fold = fold_assignment(features.labels, CrossValPlan(folds=5, seed=0))
+    train = features.take_rows(np.nonzero(fold != 0)[0])
+    projected = transform(fit_pca(train, 4), train)
+    model = rf_fit(projected, ForestConfig(n_trees=10, max_depth=4, seed=3))
+    assert _sha256(forest_to_json(model)) == (
+        "d828d4196a952ce89c0c2fab4604e22579f54f3d3717678a3598ee1ac4d95fd2"
+    )
+
+
+def test_threshold_between_values_whose_difference_overflows():
+    X = _matrix([[1e308], [-1e308], [1e308], [-1e308]], [0, 1, 0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = rf_fit(X, ForestConfig(n_trees=2, seed=0))
+    for tree in model.trees:
+        assert tree.feature[0] == 0 and tree.threshold[0] == 0.0
+    assert (rf_predict_labels(model, X) == X.labels).all()
+
+
+def _payload_with(mutate):
+    rng = np.random.default_rng(16)
+    X = _matrix(rng.uniform(size=(40, 3)), rng.integers(0, 2, size=40))
+    payload = json.loads(forest_to_json(rf_fit(X, ForestConfig(n_trees=2, seed=0))))
+    nodes = payload["trees"][1]
+    root = nodes[0]
+    assert "feature" in root
+    leaf = next(i for i, node in enumerate(nodes) if "leaf_counts" in node)
+    mutate(root, nodes[leaf])
+    return json.dumps(payload), leaf
+
+
+@pytest.mark.parametrize(
+    "mutate, at_leaf, message",
+    [
+        (lambda root, leaf: root.update(left=0), False, "children"),
+        (lambda root, leaf: root.update(right=10**6), False, "children"),
+        (lambda root, leaf: root.update(feature=3), False, "feature 3"),
+        (lambda root, leaf: root.update(feature=0.5), False, "feature 0.5"),
+        (lambda root, leaf: root.update(left=1.5), False, "children"),
+        (lambda root, leaf: leaf.update(leaf_counts={"5": 1}), True, "leaf class 5"),
+    ],
+    ids=[
+        "self-loop", "child out of range", "bad feature", "fractional feature",
+        "fractional child", "unknown class",
+    ],
+)
+def test_forest_from_json_rejects_broken_structure(mutate, at_leaf, message):
+    text, leaf = _payload_with(mutate)
+    node = leaf if at_leaf else 0
+    with pytest.raises(FormatError, match=f"tree 1 node {node}: {message}"):
+        forest_from_json(text)
+
+
+def test_forest_from_json_rejects_empty_tree():
+    text, _ = _payload_with(lambda root, leaf: None)
+    payload = json.loads(text)
+    payload["trees"][0] = []
+    with pytest.raises(FormatError, match="tree 0 has no nodes"):
+        forest_from_json(json.dumps(payload))
