@@ -4,7 +4,8 @@ result tables (feature comparison and PCA component sweep).
 
 Features are extracted once into OUT; table 1 is evaluated into
 OUT/table1 and table 2 into OUT/table2, so each directory keeps its own
-evaluate manifest.
+evaluate manifest. Every stage runs with `--threads 0`, one worker per
+CPU; the thread count never changes the results.
 
 Usage: python scripts/reproduce_tables.py [--out-dir OUT] [--trees N]
 """
@@ -37,7 +38,7 @@ def main() -> int:
 
     code = cli([
         "features", "--input", str(out / "scene.csv"), "--has-label",
-        "--radius", str(args.radius), "--out-dir", str(out),
+        "--radius", str(args.radius), "--threads", "0", "--out-dir", str(out),
     ])
     if code != 0:
         return code
@@ -47,7 +48,7 @@ def main() -> int:
         code = cli([
             "evaluate", "--features", str(out / "features.csv"), "--table", table, *extra,
             "--folds", str(args.folds), "--trees", str(args.trees),
-            "--out-dir", str(table_out),
+            "--threads", "0", "--out-dir", str(table_out),
         ])
         if code != 0:
             return code

@@ -15,7 +15,13 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .evaluation import CrossValPlan, EvaluationReport, cross_validate, macro_f1
+from .evaluation import (
+    CrossValPlan,
+    EvaluationReport,
+    cross_validate,
+    cross_validate_many,
+    macro_f1,
+)
 from .features import (
     FEATURE_COLUMNS,
     NeighborhoodSpec,

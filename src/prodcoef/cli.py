@@ -6,6 +6,12 @@ and the one-shot `run` command produce byte-identical files. Manifests
 record file basenames, never absolute paths, and never the thread
 count (threads must not affect results).
 
+`--threads` sets the workers of the two parallel steps: threads for
+radius neighborhoods in `features`, and forked processes for the
+cross-validation folds in `evaluate` (POSIX fork; each worker process
+holds one fold's model at a time). 0 means one per CPU; the default 1
+runs everything in this process.
+
 Exit codes: 0 success, 1 validation, 2 I/O or format, 3 data
 consistency.
 """
@@ -25,7 +31,7 @@ from .evaluation import (
     ClassifierPipeline,
     CrossValPlan,
     PipelineSpec,
-    cross_validate,
+    cross_validate_many,
     render_report,
     report_from_json,
     report_to_json,
@@ -299,7 +305,7 @@ def _run_evaluate(args, out: Path, features_path: Path) -> None:
             raise ValidationError(
                 f"table 1 expects the standard feature columns; missing {missing}"
             )
-        runs = [(f"report_t1_{fs_name}", features, None, {"feature_set": fs_name})
+        sets = [(f"report_t1_{fs_name}", features, None, {"feature_set": fs_name})
                 for fs_name, features in (("xyz", matrix.select_columns(XYZ_COLUMNS)),
                                           ("full", matrix))]
     else:
@@ -308,23 +314,21 @@ def _run_evaluate(args, out: Path, features_path: Path) -> None:
             raise ValidationError(
                 f"component range up to {hi} exceeds the {matrix.n_cols} feature columns"
             )
-        runs = [(f"report_t2_n{n:02d}", matrix, n, {}) for n in range(lo, hi + 1)]
+        sets = [(f"report_t2_n{n:02d}", matrix, n, {}) for n in range(lo, hi + 1)]
 
-    reports = []
+    runs = []
     outputs = []
-    for prefix, features, n_components, extra in runs:
+    for prefix, features, n_components, extra in sets:
         for clf in ("knn", "rf"):
             spec = PipelineSpec(
                 classifier=clf, n_components=n_components, k=args.k,
                 n_trees=args.trees, max_depth=args.max_depth, seed=args.seed,
             )
-            report = cross_validate(features, plan, ClassifierPipeline(spec),
-                                    f1_average=args.f1,
-                                    extra_config={**base_config, **extra})
-            path = out / f"{prefix}_{clf}.json"
-            path.write_text(report_to_json(report) + "\n")
-            reports.append(report)
-            outputs.append(path)
+            runs.append((features, ClassifierPipeline(spec), {**base_config, **extra}))
+            outputs.append(out / f"{prefix}_{clf}.json")
+    reports = cross_validate_many(runs, plan, f1_average=args.f1, workers=args.threads)
+    for path, report in zip(outputs, reports):
+        path.write_text(report_to_json(report) + "\n")
 
     for name, text in render_report(reports).items():
         path = out / TABLE_FILES[name]
@@ -384,7 +388,8 @@ def _add_common(parser: _Parser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="run seed (recorded in artifacts)")
     parser.add_argument("--out-dir", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for radius neighborhoods; 0 = auto; "
+                        help="workers: threads for radius neighborhoods, forked "
+                             "processes for cross-validation folds; 0 = auto; "
                              "never changes results")
 
 

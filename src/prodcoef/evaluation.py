@@ -5,17 +5,26 @@ assigned round-robin within each class, so every fold keeps the class
 proportions and the split is reproducible bit-for-bit. The pipeline
 (PCA fit included) is trained on the training portion of each fold
 only; held-out labels can never leak into fitting.
+
+`cross_validate_many` evaluates many (features, pipeline) runs at once.
+Each (run, fold) fit-and-predict is one independent job; with more than
+one worker the jobs run in order on processes made by POSIX fork, which
+inherit the data copy-on-write and send back only predicted labels.
+Each worker holds one fold's model at a time. The scores are merged in
+job order, so reports are the same bytes for any worker count.
+`cross_validate` is its one-run, in-process case.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ProdcoefError, ValidationError
 from .forest import (
     ForestConfig,
     RandomForestModel,
@@ -26,6 +35,7 @@ from .forest import (
 from .knn import KnnModel, knn_predict_labels
 from .matrix import FeatureMatrix
 from .pca import PcaModel, fit_pca, pca_to_json, transform
+from .workers import worker_count
 
 F1_AVERAGES = ("macro", "micro", "weighted")
 
@@ -235,56 +245,163 @@ class EvaluationReport:
             object.__setattr__(self, "confusion", conf)
 
 
-def cross_validate(features: FeatureMatrix, plan: CrossValPlan, pipeline,
-                   f1_average: str = "macro", extra_config: dict | None = None
-                   ) -> EvaluationReport:
-    """Train/score the pipeline across the plan's folds.
+class _FoldJobs:
+    """Every (run, fold) fit-and-predict of one cross_validate_many call.
+
+    Jobs are numbered run-major: job j is fold j % folds of run
+    j // folds. A job returns its fold's predicted labels, already
+    checked against the fold's truth and the run's classes, so that
+    whichever process runs it, a bad prediction fails in the job that
+    made it.
+    """
+
+    def __init__(self, runs, plan: CrossValPlan):
+        self.runs = runs
+        self.folds = plan.folds
+        # Runs over one label vector (table 1's column subsets, table 2's
+        # component counts) share its fold assignment and class list.
+        splits = {}
+        for features, _, _ in runs:
+            key = id(features.labels)
+            if key not in splits:
+                splits[key] = (fold_assignment(features.labels, plan),
+                               np.unique(features.labels))
+        self.splits = [splits[id(features.labels)] for features, _, _ in runs]
+
+    def __len__(self) -> int:
+        return len(self.runs) * self.folds
+
+    def __call__(self, job: int) -> np.ndarray:
+        run, f = divmod(job, self.folds)
+        features, pipeline, _ = self.runs[run]
+        fold, classes = self.splits[run]
+        fitted = pipeline.fit(features.take_rows(np.nonzero(fold != f)[0]))
+        test_idx = np.nonzero(fold == f)[0]
+        _, predicted = _check_label_pair(
+            features.labels[test_idx], fitted.predict_labels(features.take_rows(test_idx))
+        )
+        outside = ~np.isin(predicted, classes)
+        if outside.any():
+            raise ValidationError(
+                f"pipeline predicted label {predicted[outside][0]} outside the data's classes"
+            )
+        return predicted
+
+
+# The jobs of the cross_validate_many call that forked this worker
+# process; set once in each worker, never in the parent.
+_worker_jobs: _FoldJobs | None = None
+
+
+def _set_worker_jobs(jobs: _FoldJobs) -> None:
+    global _worker_jobs
+    _worker_jobs = jobs
+
+
+def _run_worker_job(job: int) -> np.ndarray:
+    return _worker_jobs(job)
+
+
+def _run_forked(jobs: _FoldJobs, workers: int, consume):
+    """consume(predictions of every job, in job order), with the jobs
+    run on `workers` forked processes.
+
+    Forked workers inherit the runs' matrices and pipelines
+    copy-on-write, so only job numbers and predicted labels cross
+    between processes. Jobs go out in job-order chunks, at least four
+    per worker, which balances the load and, for small jobs, costs a
+    fraction of one IPC round trip per job. map yields in job order, so
+    the first failing job's exception is the one raised.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # KNN imports scipy.spatial on first use; importing it here once
+    # spares every worker its own import.
+    import scipy.spatial  # noqa: F401
+
+    chunksize = max(1, len(jobs) // (4 * workers))
+    # Frozen objects are left out of garbage collection, so the workers'
+    # collections do not touch, and so copy, the pages of every object
+    # they inherit.
+    gc.freeze()
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_set_worker_jobs, initargs=(jobs,)) as pool:
+            return consume(pool.map(_run_worker_job, range(len(jobs)), chunksize=chunksize))
+    except BrokenProcessPool:
+        raise ProdcoefError(
+            "a cross-validation worker process died (killed, perhaps out of memory)"
+        ) from None
+    finally:
+        gc.unfreeze()
+
+
+def cross_validate_many(runs, plan: CrossValPlan, f1_average: str = "macro",
+                        workers: int = 1) -> list[EvaluationReport]:
+    """One report per run, each run a (features, pipeline, extra_config)
+    triple cross-validated over the plan's folds.
 
     The pipeline object only needs fit(train_matrix) returning
     something with predict_labels(test_matrix); PCA fitting therefore
-    happens inside each fold, on training rows only.
+    happens inside each fold, on training rows only. Every (run, fold)
+    fit-and-predict is an independent job. With `workers` 1 they run
+    in order in this process. With more (0 = one per CPU, never more
+    than there are jobs) they run on forked worker processes, which
+    needs POSIX fork and a caller with no other threads running; each
+    worker holds one fold's model at a time. Scores and confusion
+    matrices are merged here in job order, so the reports never depend
+    on `workers`, and neither does which error a failing call raises.
     """
-    if features.labels is None:
-        raise ValidationError("cross-validation needs labeled features")
     if f1_average not in _F1_FUNCS:
         raise ValidationError(f"unknown F1 average {f1_average!r}")
+    for features, _, _ in runs:
+        if features.labels is None:
+            raise ValidationError("cross-validation needs labeled features")
+    jobs = _FoldJobs(runs, plan)
 
-    fold = fold_assignment(features.labels, plan)
-    classes = np.unique(features.labels)
-    class_pos = {int(c): i for i, c in enumerate(classes.tolist())}
-    confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    def merge(predictions) -> list[EvaluationReport]:
+        reports = []
+        for (features, pipeline, extra_config), (fold, classes) in zip(runs, jobs.splits):
+            confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
+            per_fold = []
+            for f in range(plan.folds):
+                predicted = next(predictions)
+                truth = features.labels[fold == f]
+                per_fold.append(f1_score(truth, predicted, f1_average))
+                np.add.at(confusion, (np.searchsorted(classes, truth),
+                                      np.searchsorted(classes, predicted)), 1)
+            config = dict(extra_config or {})
+            if hasattr(pipeline, "describe"):
+                config.update(pipeline.describe())
+            config.update(
+                {"folds": plan.folds, "cv_seed": plan.seed, "stratified": plan.stratified,
+                 "f1_average": f1_average}
+            )
+            per_fold_arr = np.array(per_fold)
+            reports.append(EvaluationReport(
+                per_fold_f1=tuple(float(v) for v in per_fold),
+                mean_f1=float(per_fold_arr.mean()),
+                std_f1=float(per_fold_arr.std(ddof=1)),
+                config=config,
+                classes=tuple(int(c) for c in classes),
+                confusion=confusion,
+            ))
+        return reports
 
-    per_fold = []
-    for f in range(plan.folds):
-        train_idx = np.nonzero(fold != f)[0]
-        test_idx = np.nonzero(fold == f)[0]
-        fitted = pipeline.fit(features.take_rows(train_idx))
-        predicted = fitted.predict_labels(features.take_rows(test_idx))
-        truth = features.labels[test_idx]
-        per_fold.append(f1_score(truth, predicted, f1_average))
-        for t, p in zip(truth.tolist(), predicted.tolist()):
-            if p not in class_pos:
-                raise ValidationError(
-                    f"pipeline predicted label {p} outside the data's classes"
-                )
-            confusion[class_pos[t], class_pos[p]] += 1
+    workers = worker_count(workers, len(jobs))
+    if workers == 1:
+        return merge(map(jobs, range(len(jobs))))
+    return _run_forked(jobs, workers, merge)
 
-    per_fold_arr = np.array(per_fold)
-    config = dict(extra_config or {})
-    if hasattr(pipeline, "describe"):
-        config.update(pipeline.describe())
-    config.update(
-        {"folds": plan.folds, "cv_seed": plan.seed, "stratified": plan.stratified,
-         "f1_average": f1_average}
-    )
-    return EvaluationReport(
-        per_fold_f1=tuple(float(v) for v in per_fold),
-        mean_f1=float(per_fold_arr.mean()),
-        std_f1=float(per_fold_arr.std(ddof=1)),
-        config=config,
-        classes=tuple(int(c) for c in classes),
-        confusion=confusion,
-    )
+
+def cross_validate(features: FeatureMatrix, plan: CrossValPlan, pipeline,
+                   f1_average: str = "macro", extra_config: dict | None = None
+                   ) -> EvaluationReport:
+    """Train/score the pipeline across the plan's folds: the one-run,
+    in-process case of cross_validate_many."""
+    return cross_validate_many([(features, pipeline, extra_config)], plan, f1_average)[0]
 
 
 def report_to_json(report: EvaluationReport) -> str:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -43,6 +42,7 @@ import numpy as np
 from .errors import ValidationError
 from .matrix import FeatureMatrix
 from .pointcloud import PointCloud
+from .workers import worker_count
 
 FEATURE_COLUMNS = ("x", "y", "z", "a_s", "a_ls", "a_rs", "a_lls", "a_rls", "a_lrs", "a_rrs")
 
@@ -281,9 +281,8 @@ def extract_features(cloud: PointCloud, spec: NeighborhoodSpec | None = None,
             sizes[lo:hi], raw[lo:hi, 3:] = _finish_octant_counts(counts, spec.include_center)
 
         chunks = [(lo, min(lo + _RADIUS_CHUNK, n)) for lo in range(0, n, _RADIUS_CHUNK)]
-        if threads == 0:
-            threads = os.cpu_count() or 1
-        if threads > 1 and len(chunks) > 1:
+        threads = worker_count(threads, len(chunks))
+        if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 futures = [pool.submit(worker, lo, hi) for lo, hi in chunks]
                 for future in futures:

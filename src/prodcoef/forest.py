@@ -323,28 +323,49 @@ def forest_to_json(model: RandomForestModel) -> str:
 def forest_from_json(text: str) -> RandomForestModel:
     """Inverse of forest_to_json. The tree structure is checked on load:
     children must come after their parent (so routing always ends),
-    features must exist and leaf class codes must be in `classes`."""
-    payload = json.loads(text)
-    classes = np.asarray(payload["classes"], dtype=np.int64)
-    n_features = int(payload["n_features"])
+    features must exist and leaf class codes must be in `classes`. A
+    payload that is not a forest raises FormatError, naming the tree and
+    node where one is at fault."""
+    try:
+        payload = json.loads(text)
+        classes = np.asarray(payload["classes"], dtype=np.int64)
+        n_features = int(payload["n_features"])
+        cfg = payload["config"]
+        config = ForestConfig(
+            n_trees=cfg["n_trees"],
+            max_depth=cfg["max_depth"],
+            min_samples_split=cfg["min_samples_split"],
+            seed=cfg["seed"],
+        )
+        trees_payload = list(payload["trees"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"not a forest payload: {type(exc).__name__}: {exc}") from None
     class_pos = {c: i for i, c in enumerate(classes.tolist())}
     trees = []
-    for t, nodes in enumerate(payload["trees"]):
+    for t, nodes in enumerate(trees_payload):
         if not nodes:
             raise FormatError(f"forest tree {t} has no nodes")
         tree = _Tree()
         for spec in nodes:
             i = tree.add_node()
             where = f"forest tree {t} node {i}"
-            if "leaf_counts" in spec:
-                counts = np.zeros(len(classes), dtype=np.int64)
-                for code, count in spec["leaf_counts"].items():
-                    if int(code) not in class_pos:
-                        raise FormatError(f"{where}: leaf class {code} is not in classes")
-                    counts[class_pos[int(code)]] = count
-                tree.leaf_counts[i] = counts
-                continue
-            feature, left, right = spec["feature"], spec["left"], spec["right"]
+            try:
+                if "leaf_counts" in spec:
+                    counts = np.zeros(len(classes), dtype=np.int64)
+                    for code, count in spec["leaf_counts"].items():
+                        if int(code) not in class_pos:
+                            raise FormatError(f"{where}: leaf class {code} is not in classes")
+                        if not (type(count) is int and count >= 0):
+                            raise FormatError(f"{where}: leaf count {count!r} is not a count")
+                        counts[class_pos[int(code)]] = count
+                    tree.leaf_counts[i] = counts
+                    continue
+                feature, left, right = spec["feature"], spec["left"], spec["right"]
+                threshold = spec["threshold"]
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise FormatError(
+                    f"{where}: malformed node: {type(exc).__name__}: {exc}"
+                ) from None
             if not (type(feature) is int and 0 <= feature < n_features):
                 raise FormatError(
                     f"{where}: feature {feature} outside [0, {n_features})"
@@ -353,21 +374,17 @@ def forest_from_json(text: str) -> RandomForestModel:
                 raise FormatError(
                     f"{where}: children {left}, {right} must lie in ({i}, {len(nodes)})"
                 )
+            if type(threshold) not in (int, float):
+                raise FormatError(f"{where}: threshold {threshold!r} is not a number")
             tree.feature[i] = feature
-            tree.threshold[i] = spec["threshold"]
+            tree.threshold[i] = threshold
             tree.left[i] = left
             tree.right[i] = right
         tree.finalize()
         trees.append(tree)
-    cfg = payload["config"]
     return RandomForestModel(
-        config=ForestConfig(
-            n_trees=cfg["n_trees"],
-            max_depth=cfg["max_depth"],
-            min_samples_split=cfg["min_samples_split"],
-            seed=cfg["seed"],
-        ),
+        config=config,
         classes=classes,
-        n_features=int(payload["n_features"]),
+        n_features=n_features,
         trees=tuple(trees),
     )

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import prodcoef
 from prodcoef.cli import main
 from prodcoef.matrix import read_feature_csv
 
@@ -216,6 +221,55 @@ def test_threads_do_not_change_artifacts(tmp_path, scene_csv):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def _same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("table", ["1", "2"])
+def test_evaluate_threads_do_not_change_artifacts(tmp_path, scene_csv, table):
+    # --threads 2 runs in a fresh interpreter, where evaluate forks its
+    # fold workers before anything has loaded scipy.spatial.
+    features = _features(tmp_path, scene_csv)
+    argv = ["evaluate", "--features", str(features), "--table", table,
+            "--components", "3..4", "--folds", "3", "--trees", "4"]
+    assert main([*argv, "--threads", "1", "--out-dir", str(tmp_path / "t1")]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(prodcoef.__file__).parents[1]))
+    subprocess.run([sys.executable, "-m", "prodcoef", *argv, "--threads", "2",
+                    "--out-dir", str(tmp_path / "t2")], env=env, check=True, timeout=120)
+    _same_files(tmp_path / "t1", tmp_path / "t2")
+
+
+def test_run_threads_auto_equals_one(tmp_path, scene_csv):
+    for threads in ("1", "0"):
+        assert main([
+            "run", "--input", str(scene_csv), "--has-label", "--radius", "0.3",
+            "--table", "2", "--components", "3..4", "--folds", "3", "--trees", "4",
+            "--threads", threads, "--out-dir", str(tmp_path / f"t{threads}"),
+        ]) == 0
+    _same_files(tmp_path / "t1", tmp_path / "t0")
+
+
+def test_help_loads_no_process_pool():
+    code = (
+        "import sys\n"
+        "from prodcoef.cli import main\n"
+        "try:\n"
+        "    main(['evaluate', '--help'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'multiprocessing'\n"
+        "             or m == 'concurrent.futures.process'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(prodcoef.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_threads_do_not_change_default_radius_features(tmp_path, scene_csv):
     outs = []
     for name, threads in (("t1", "1"), ("t2", "2")):
@@ -309,8 +363,10 @@ def test_report_reproduces_evaluate_table1(tmp_path, scene_csv):
         assert (report_out / name).read_bytes() == (eval_out / name).read_bytes()
 
 
-def test_overflowing_knn_distances_give_validation_exit(tmp_path, capsys):
-    # Features near 1e160: every squared distance would overflow.
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_overflowing_knn_distances_give_validation_exit(tmp_path, capsys, threads):
+    # Features near 1e160: every squared distance would overflow. The
+    # error is raised in a fold job, in a worker process at --threads 2.
     rows = [f"{i}e159,{i % 3}e159,0,1,2,3,4,5,6,7,{i % 2}" for i in range(12)]
     path = tmp_path / "features.csv"
     path.write_text(
@@ -318,9 +374,12 @@ def test_overflowing_knn_distances_give_validation_exit(tmp_path, capsys):
     )
     assert main([
         "evaluate", "--features", str(path), "--table", "1", "--folds", "2",
-        "--k", "3", "--out-dir", str(tmp_path / "o"),
+        "--k", "3", "--threads", threads, "--out-dir", str(tmp_path / "o"),
     ]) == 1
-    assert "overflow" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: KNN squared distances overflow: the squared column spans of the "
+        "training and query rows sum to inf; rescale the features\n"
+    )
 
 
 def test_unknown_flag_maps_to_validation_exit(tmp_path):

@@ -1,17 +1,19 @@
 import csv
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodcoef.errors import ValidationError
+from prodcoef.errors import ProdcoefError, ValidationError
 from prodcoef.evaluation import (
     ClassifierPipeline,
     CrossValPlan,
     EvaluationReport,
     PipelineSpec,
     cross_validate,
+    cross_validate_many,
     f1_score,
     fold_assignment,
     format_cell,
@@ -26,6 +28,7 @@ from prodcoef.evaluation import (
     weighted_f1,
 )
 from prodcoef.matrix import FeatureMatrix
+from prodcoef.pca import fit_pca, transform
 
 
 def _matrix(values, labels=None):
@@ -214,6 +217,104 @@ class TestCrossValidate:
         assert back.per_fold_f1 == report.per_fold_f1
         assert back.config == report.config
         np.testing.assert_array_equal(back.confusion, report.confusion)
+
+
+class _PcaCentroids:
+    """Duck-typed table-2 pipeline: nearest class centroid in the space
+    of the first n principal components."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def fit(self, train):
+        pca = fit_pca(train, self.n)
+        z = transform(pca, train)
+        classes = np.unique(train.labels)
+        centroids = np.array([z.values[z.labels == c].mean(axis=0) for c in classes])
+
+        class Fitted:
+            def predict_labels(self, test):
+                d = ((transform(pca, test).values[:, None, :] - centroids) ** 2).sum(axis=2)
+                return classes[np.argmin(d, axis=1)]
+
+        return Fitted()
+
+    def describe(self):
+        return {"classifier": "centroid", "n_components": self.n}
+
+
+class _FailsWithout:
+    """Raises in fit when any of `rows` is held out; column 0 holds row ids."""
+
+    def __init__(self, name, rows):
+        self.name = name
+        self.rows = rows
+
+    def fit(self, train):
+        missing = [r for r in self.rows if r not in train.values[:, 0]]
+        if missing:
+            raise ValidationError(f"{self.name} without row {missing[0]}")
+        return _PerfectOracle()
+
+
+class _DiesInWorker:
+    """Ends the process that fits it, unless that is the test process."""
+
+    def __init__(self):
+        self.parent = os.getpid()
+
+    def fit(self, train):
+        if os.getpid() != self.parent:
+            os._exit(3)
+        raise AssertionError("fit ran in the test process")
+
+
+class TestCrossValidateMany:
+    def _features(self, n=90, classes=3, seed=6):
+        rng = np.random.default_rng(seed)
+        labels = np.tile(np.arange(classes), n // classes)
+        values = rng.normal(size=(n, 5)) + labels[:, None] * 0.7
+        values[:, 0] = np.arange(n)
+        return _matrix(values, labels)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equals_one_cross_validate_per_run(self, workers):
+        features = self._features()
+        plan = CrossValPlan(folds=5, seed=4)
+        runs = [(features, _PcaCentroids(n), {"n": n}) for n in (1, 2, 3)]
+        runs.append((features, ClassifierPipeline(PipelineSpec("knn", n_components=2, k=3)),
+                     None))
+        expected = [report_to_json(cross_validate(f, plan, p, "weighted", extra))
+                    for f, p, extra in runs]
+        reports = cross_validate_many(runs, plan, "weighted", workers=workers)
+        assert [report_to_json(r) for r in reports] == expected
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_failing_job_in_run_fold_order_wins(self, workers):
+        features = self._features()
+        plan = CrossValPlan(folds=5, seed=4)
+        fold = fold_assignment(features.labels, plan)
+        # Run 1 fails in folds 1 and 3; fold 1 comes first.
+        early, late = (int(np.flatnonzero(fold == f)[0]) for f in (1, 3))
+        runs = [
+            (features, _PerfectOracle(), None),
+            (features, _FailsWithout("run 1", (late, early)), None),
+            (features, _FailsWithout("run 2", (0, 1, 2, 3, 4, 5)), None),
+        ]
+        with pytest.raises(ValidationError, match=f"^run 1 without row {early}$"):
+            cross_validate_many(runs, plan, workers=workers)
+
+    def test_dead_worker_becomes_prodcoef_error(self):
+        features = self._features()
+        with pytest.raises(ProdcoefError, match="worker process died") as info:
+            cross_validate_many([(features, _DiesInWorker(), None)],
+                                CrossValPlan(folds=3), workers=2)
+        assert info.value.exit_code == 1
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValidationError, match="threads must be >= 0"):
+            cross_validate_many([(self._features(), _PerfectOracle(), None)],
+                                CrossValPlan(), workers=-1)
 
 
 class TestNoLeakage:

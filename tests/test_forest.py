@@ -465,10 +465,18 @@ def _payload_with(mutate):
         (lambda root, leaf: root.update(feature=0.5), False, "feature 0.5"),
         (lambda root, leaf: root.update(left=1.5), False, "children"),
         (lambda root, leaf: leaf.update(leaf_counts={"5": 1}), True, "leaf class 5"),
+        (lambda root, leaf: (root.clear(), root.update(feature=0)), False,
+         "malformed node: KeyError: 'left'"),
+        (lambda root, leaf: leaf.update(leaf_counts={"a": 1}), True,
+         "malformed node: ValueError"),
+        (lambda root, leaf: root.update(threshold="x"), False, "threshold 'x' is not a number"),
+        (lambda root, leaf: leaf.update(leaf_counts={"0": "many"}), True,
+         "leaf count 'many' is not a count"),
     ],
     ids=[
         "self-loop", "child out of range", "bad feature", "fractional feature",
-        "fractional child", "unknown class",
+        "fractional child", "unknown class", "split without children", "non-integer class",
+        "non-numeric threshold", "non-integer count",
     ],
 )
 def test_forest_from_json_rejects_broken_structure(mutate, at_leaf, message):
@@ -483,4 +491,13 @@ def test_forest_from_json_rejects_empty_tree():
     payload = json.loads(text)
     payload["trees"][0] = []
     with pytest.raises(FormatError, match="tree 0 has no nodes"):
+        forest_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("key", ["classes", "n_features", "config", "trees"])
+def test_forest_from_json_rejects_payload_without(key):
+    text, _ = _payload_with(lambda root, leaf: None)
+    payload = json.loads(text)
+    del payload[key]
+    with pytest.raises(FormatError, match=f"not a forest payload: KeyError: '{key}'"):
         forest_from_json(json.dumps(payload))
