@@ -7,10 +7,10 @@ record file basenames, never absolute paths, and never the thread
 count (threads must not affect results).
 
 `--threads` sets the workers of the two parallel steps: threads for
-radius neighborhoods in `features`, and forked processes for the
-cross-validation folds in `evaluate` (POSIX fork; each worker process
-holds one fold's model at a time). 0 means one per CPU; the default 1
-runs everything in this process.
+the kd-tree pair queries of radius neighborhoods in `features`, and
+forked processes for the cross-validation folds in `evaluate` (POSIX
+fork; each worker process holds one fold's model at a time). 0 means
+one per CPU; the default 1 runs everything in this process.
 
 Exit codes: 0 success, 1 validation, 2 I/O or format, 3 data
 consistency.
@@ -39,7 +39,7 @@ from .evaluation import (
 from .features import FEATURE_COLUMNS, NeighborhoodSpec, extract_features
 from .forest import forest_to_json
 from .las import read_las
-from .matrix import read_feature_csv, write_feature_csv
+from .matrix import FeatureMatrix, read_feature_csv, write_feature_csv
 from .pca import fit_pca, pca_to_json, transform
 from .pointcloud import (
     NORMALIZE_MODES,
@@ -172,7 +172,7 @@ def _features_config(args) -> dict:
     }
 
 
-def _run_features(args, out: Path) -> Path:
+def _run_features(args, out: Path) -> tuple[Path, FeatureMatrix]:
     started = time.perf_counter()
     cloud, _ = _load_cloud(args)
     cloud = normalize_unit_cube(cloud, mode=args.normalize)
@@ -184,7 +184,7 @@ def _run_features(args, out: Path) -> Path:
                     {Path(args.input).name: Path(args.input)}, [features_path])
     log.info("features: %d rows in %.2fs -> %s",
              matrix.n_rows, time.perf_counter() - started, features_path)
-    return features_path
+    return features_path, matrix
 
 
 def cmd_features(args) -> int:
@@ -285,9 +285,9 @@ def _upstream_config(features_path: Path):
     return None
 
 
-def _run_evaluate(args, out: Path, features_path: Path) -> None:
+def _run_evaluate(args, out: Path, features_path: Path, matrix: FeatureMatrix) -> None:
+    """Cross-validate `matrix`, the contents of `features_path`."""
     started = time.perf_counter()
-    matrix = read_feature_csv(features_path)
     if matrix.labels is None:
         raise ValidationError("evaluation requires a labeled feature file")
 
@@ -351,14 +351,16 @@ def _run_evaluate(args, out: Path, features_path: Path) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    _run_evaluate(args, _out_dir(args), Path(args.features))
+    features_path = Path(args.features)
+    _run_evaluate(args, _out_dir(args), features_path, read_feature_csv(features_path))
     return 0
 
 
 def cmd_run(args) -> int:
     out = _out_dir(args)
-    features_path = _run_features(args, out)
-    _run_evaluate(args, out, features_path)
+    # repr round-trips every float, so the matrix in memory equals what
+    # reading features.csv back would give.
+    _run_evaluate(args, out, *_run_features(args, out))
     return 0
 
 
@@ -388,9 +390,10 @@ def _add_common(parser: _Parser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="run seed (recorded in artifacts)")
     parser.add_argument("--out-dir", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="workers: threads for radius neighborhoods, forked "
-                             "processes for cross-validation folds; 0 = auto; "
-                             "never changes results")
+                        help="workers: threads for the radius neighborhoods' "
+                             "kd-tree pair queries, forked processes for "
+                             "cross-validation folds; 0 = auto; never changes "
+                             "results")
 
 
 def _add_input(parser: _Parser) -> None:

@@ -9,6 +9,7 @@ LAS and LAZ decompression are out of scope.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -94,6 +95,10 @@ def read_las(path) -> tuple[PointCloud, LasHeaderSummary]:
 
     scale = struct.unpack_from("<3d", data, 131)
     offset = struct.unpack_from("<3d", data, 155)
+    for field, values in (("scale", scale), ("offset", offset)):
+        for axis, value in zip("XYZ", values):
+            if not math.isfinite(value):
+                raise FormatError(f"{path}: non-finite {axis} coordinate {field} {value!r}")
     if any(s <= 0 for s in scale):
         raise FormatError(f"{path}: non-positive coordinate scale {scale}")
 
@@ -116,9 +121,17 @@ def read_las(path) -> tuple[PointCloud, LasHeaderSummary]:
     records = np.frombuffer(data, dtype=record, count=count, offset=offset_to_points)
 
     xyz = np.empty((count, 3), dtype=np.float64)
-    xyz[:, 0] = records["X"] * scale[0] + offset[0]
-    xyz[:, 1] = records["Y"] * scale[1] + offset[1]
-    xyz[:, 2] = records["Z"] * scale[2] + offset[2]
+    for axis, name in enumerate("XYZ"):
+        # A finite scale and offset can still overflow float64 (a scale
+        # of 1e308, say).
+        with np.errstate(over="ignore"):
+            xyz[:, axis] = records[name] * scale[axis] + offset[axis]
+        bad = np.flatnonzero(~np.isfinite(xyz[:, axis]))
+        if len(bad):
+            raise FormatError(
+                f"{path}: {name} coordinate scale {scale[axis]!r} and offset "
+                f"{offset[axis]!r} overflow float64 at record {bad[0]}"
+            )
 
     labels = records["cls"].astype(np.int64)
     if fmt < 6:

@@ -15,6 +15,10 @@ LABEL_COLUMN = "label"
 # Labels are stored as int64.
 _LABEL_MIN, _LABEL_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
+# Rows formatted per write: batching saves a call per row while the
+# batch's text and Python floats stay a few MB at most.
+_WRITE_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class FeatureMatrix:
@@ -86,16 +90,17 @@ class FeatureMatrix:
 
 def write_feature_csv(matrix: FeatureMatrix, path) -> None:
     """Write header + rows; floats in repr (round-trip) form."""
+    names = list(matrix.column_names)
+    if matrix.labels is not None:
+        names.append(LABEL_COLUMN)
     with open(path, "w", newline="\n") as handle:
-        header = ",".join(matrix.column_names)
-        if matrix.labels is not None:
-            handle.write(header + f",{LABEL_COLUMN}\n")
-            for row, lab in zip(matrix.values.tolist(), matrix.labels.tolist()):
-                handle.write(",".join(repr(v) for v in row) + f",{lab}\n")
-        else:
-            handle.write(header + "\n")
-            for row in matrix.values.tolist():
-                handle.write(",".join(repr(v) for v in row) + "\n")
+        handle.write(",".join(names) + "\n")
+        for start in range(0, matrix.n_rows, _WRITE_ROWS):
+            rows = matrix.values[start:start + _WRITE_ROWS].tolist()
+            if matrix.labels is not None:
+                for row, label in zip(rows, matrix.labels[start:start + _WRITE_ROWS].tolist()):
+                    row.append(label)
+            handle.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
 
 def parse_label(cell: str, path, row_num: int) -> int:

@@ -206,6 +206,28 @@ def test_run_equals_staged_pipeline_byte_for_byte(tmp_path, scene_csv):
         assert (staged / name).read_bytes() == (oneshot / name).read_bytes(), name
 
 
+def test_run_evaluates_the_matrix_it_extracted(tmp_path, scene_csv, monkeypatch):
+    # The staged pipeline reads features.csv back; run must hand its
+    # in-memory matrix to evaluate and still write the same files.
+    staged = tmp_path / "staged"
+    features = _features(tmp_path, scene_csv, "staged")
+    assert main([
+        "evaluate", "--features", str(features), "--table", "1", "--folds", "3",
+        "--trees", "4", "--out-dir", str(staged),
+    ]) == 0
+
+    def no_reread(path):
+        raise AssertionError(f"run re-read {path}")
+
+    monkeypatch.setattr("prodcoef.cli.read_feature_csv", no_reread)
+    oneshot = tmp_path / "oneshot"
+    assert main([
+        "run", "--input", str(scene_csv), "--has-label", "--radius", "0.3",
+        "--table", "1", "--folds", "3", "--trees", "4", "--out-dir", str(oneshot),
+    ]) == 0
+    _same_files(staged, oneshot)
+
+
 def test_threads_do_not_change_artifacts(tmp_path, scene_csv):
     outs = []
     for name, threads in (("t1", "1"), ("t2", "4")):
@@ -281,6 +303,25 @@ def test_threads_do_not_change_default_radius_features(tmp_path, scene_csv):
         outs.append(out)
     for name in ("features.csv", "features.manifest.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_threads_do_not_change_radius_features(tmp_path, scene_csv):
+    for threads in ("1", "2", "0"):
+        assert main([
+            "features", "--input", str(scene_csv), "--has-label", "--radius", "0.12",
+            "--threads", threads, "--out-dir", str(tmp_path / f"t{threads}"),
+        ]) == 0
+    _same_files(tmp_path / "t1", tmp_path / "t2")
+    _same_files(tmp_path / "t1", tmp_path / "t0")
+
+
+@pytest.mark.parametrize("command", ["ingest", "features"])
+def test_non_finite_las_scale_gives_format_exit(tmp_path, capsys, command):
+    las = tmp_path / "odd.las"
+    las.write_bytes(build_las(raw_xyz=[(0, 0, 0), (1, 2, 3)],
+                              scale=(0.01, float("nan"), 0.01)))
+    assert main([command, "--input", str(las), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "odd.las: non-finite Y coordinate scale nan" in capsys.readouterr().err
 
 
 def test_pca_subcommand(tmp_path, scene_csv):

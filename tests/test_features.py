@@ -1,3 +1,5 @@
+import itertools
+import logging
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from prodcoef.errors import ValidationError
 from prodcoef.features import (
+    _RADIUS_CHUNK,
     FEATURE_COLUMNS,
     NeighborhoodSpec,
     SpatialIndex,
@@ -24,13 +27,12 @@ from conftest import dyadic_coefficients
 
 
 def naive_radius_neighbors(points, center, radius):
-    """Oracle: plain O(n) scan with explicit distance arithmetic."""
-    ids = []
-    for i, p in enumerate(points):
-        d2 = sum((p[j] - center[j]) ** 2 for j in range(3))
-        if d2 <= radius * radius:
-            ids.append(i)
-    return np.array(ids, dtype=np.int64)
+    """Oracle: plain O(n) scan with explicit distance arithmetic, the
+    squared differences summed x, then y, then z."""
+    points = np.asarray(points, dtype=np.float64)
+    d2 = ((points[:, 0] - center[0]) ** 2 + (points[:, 1] - center[1]) ** 2
+          + (points[:, 2] - center[2]) ** 2)
+    return np.flatnonzero(d2 <= radius * radius).astype(np.int64)
 
 
 def all_pairs_octant_counts(xyz):
@@ -72,6 +74,23 @@ def naive_scan_features(cloud, spec):
     return (None if empty else rescale_columns(raw)), empty
 
 
+def assert_features_equal_naive_scan(cloud, spec, threads_list=(1, 2, 3)):
+    """extract_features at every thread count equals the naive-scan
+    oracle or, when some neighborhood is empty, fails naming those rows
+    (isolated points have nothing to measure once their center is left
+    out). Returns the empty rows."""
+    expected, empty = naive_scan_features(cloud, spec)
+    for threads in threads_list:
+        if empty:
+            message = rf"empty.* {len(empty)} of {len(cloud)} rows.*first: row {empty[0]}\)"
+            with pytest.raises(ValidationError, match=message):
+                extract_features(cloud, spec, threads=threads)
+        else:
+            fm = extract_features(cloud, spec, threads=threads)
+            np.testing.assert_array_equal(fm.values, expected)
+    return empty
+
+
 class TestRadiusNeighbors:
     def test_collinear_points(self):
         pts = np.array([[0, 0, 0], [0.3, 0, 0], [0.9, 0, 0]])
@@ -107,12 +126,18 @@ class TestRadiusNeighbors:
         rng = np.random.default_rng(12)
         pts = rng.uniform(size=(300, 3))
         index = SpatialIndex(pts)
-        lengths, ids = index.query_radius_many(pts[:40], 0.2)
-        assert lengths.shape == (40,) and ids.shape == (lengths.sum(),)
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        ids = rng.permutation(300)[:40]
+        rows, neighbors = index.radius_pairs(ids, 0.2)
+        assert rows.shape == neighbors.shape
+        assert ((rows >= 0) & (rows < 40)).all()
         for k in range(40):
-            got = np.sort(ids[offsets[k]:offsets[k + 1]])
-            np.testing.assert_array_equal(got, index.query_radius(pts[k], 0.2))
+            got = np.sort(neighbors[rows == k])
+            np.testing.assert_array_equal(got, index.query_radius(pts[ids[k]], 0.2))
+
+    def test_leaf_order_is_a_permutation(self):
+        rng = np.random.default_rng(15)
+        index = SpatialIndex(rng.uniform(size=(300, 3)))
+        np.testing.assert_array_equal(np.sort(index.leaf_order), np.arange(300))
 
 
 def corner_cube_cloud():
@@ -135,11 +160,12 @@ class TestSphereMeasure:
         # The <=-goes-left rule routes the center into the leftmost leaf.
         expected = [[1, 0, 0, 0, 0, 0, 0, 0]]
         assert _octant_counts_whole_cloud(xyz).tolist() == expected
-        assert _octant_counts_radius(xyz, SpatialIndex(xyz), 0.1, 0, 1).tolist() == expected
+        counts = _octant_counts_radius(xyz, SpatialIndex(xyz), 0.1, np.arange(1))
+        assert counts.tolist() == expected
 
     def test_symmetric_corner_cube(self):
         xyz = corner_cube_cloud()
-        counts = _octant_counts_radius(xyz, SpatialIndex(xyz), 0.2, 0, 1)
+        counts = _octant_counts_radius(xyz, SpatialIndex(xyz), 0.2, np.arange(1))
         assert counts.tolist() == [[2, 1, 1, 1, 1, 1, 1, 1]]
         np.testing.assert_array_equal(_octant_counts_whole_cloud(xyz)[:1], counts)
         sizes, _ = _finish_octant_counts(counts, include_center=False)
@@ -163,7 +189,8 @@ class TestSphereMeasure:
                 expected[row, i] += 1
         np.testing.assert_array_equal(_octant_counts_whole_cloud(xyz)[:30], expected)
         index = SpatialIndex(xyz)
-        np.testing.assert_array_equal(_octant_counts_radius(xyz, index, 2.0, 0, 30), expected)
+        np.testing.assert_array_equal(_octant_counts_radius(xyz, index, 2.0, np.arange(30)),
+                                      expected)
 
 
 class TestPointCoefficients:
@@ -175,7 +202,7 @@ class TestPointCoefficients:
 
     def test_symmetric_row_is_all_zero(self):
         xyz = corner_cube_cloud()
-        counts = _octant_counts_radius(xyz, SpatialIndex(xyz), 0.2, 0, 1)
+        counts = _octant_counts_radius(xyz, SpatialIndex(xyz), 0.2, np.arange(1))
         _, coefficients = _finish_octant_counts(counts, include_center=False)
         assert coefficients.tolist() == [[0] * 7]
 
@@ -210,7 +237,7 @@ class TestExtractFeatures:
         rng = np.random.default_rng(3)
         cloud = normalize_unit_cube(PointCloud(xyz=rng.uniform(size=(30, 3))))
         index = SpatialIndex(cloud.xyz)
-        for counts in (_octant_counts_radius(cloud.xyz, index, 2.0, 0, 30),
+        for counts in (_octant_counts_radius(cloud.xyz, index, 2.0, np.arange(30)),
                        _octant_counts_whole_cloud(cloud.xyz)):
             sizes, _ = _finish_octant_counts(counts, include_center=True)
             assert sizes.tolist() == [30] * 30
@@ -227,7 +254,7 @@ class TestExtractFeatures:
         rng = np.random.default_rng(6)
         cloud = normalize_unit_cube(PointCloud(xyz=rng.uniform(size=(150, 3))))
         index = SpatialIndex(cloud.xyz)
-        counts_kd = _octant_counts_radius(cloud.xyz, index, 2.0, 0, 150)
+        counts_kd = _octant_counts_radius(cloud.xyz, index, 2.0, np.arange(150))
         counts_dense = _octant_counts_whole_cloud(cloud.xyz)
         np.testing.assert_array_equal(counts_kd, counts_dense)
         np.testing.assert_array_equal(
@@ -261,18 +288,7 @@ class TestExtractFeatures:
         n_failing = 0
         for radius in (0.05, 0.12, 0.3, 0.7, 2.0):
             spec = NeighborhoodSpec(radius=radius, include_center=include_center)
-            expected, empty = naive_scan_features(cloud, spec)
-            for threads in (1, 2):
-                if empty:
-                    # Isolated points have nothing to measure once their
-                    # center is left out; the error names them.
-                    message = rf"empty.* {len(empty)} of 200 rows.*first: row {empty[0]}\)"
-                    with pytest.raises(ValidationError, match=message):
-                        extract_features(cloud, spec, threads=threads)
-                else:
-                    fm = extract_features(cloud, spec, threads=threads)
-                    np.testing.assert_array_equal(fm.values, expected)
-            n_failing += bool(empty)
+            n_failing += bool(assert_features_equal_naive_scan(cloud, spec, (1, 2)))
         # Both outcomes are exercised: small radii isolate some points
         # only when the center is left out.
         assert n_failing == (0 if include_center else 2)
@@ -333,7 +349,7 @@ class TestExtractFeatures:
         spec = NeighborhoodSpec(radius=2.0, include_center=False)
         fm_dense = extract_features(cloud, spec)
         index = SpatialIndex(cloud.xyz)
-        counts = _octant_counts_radius(cloud.xyz, index, spec.radius, 0, 50)
+        counts = _octant_counts_radius(cloud.xyz, index, spec.radius, np.arange(50))
         sizes, out = _finish_octant_counts(counts, spec.include_center)
         assert (sizes == 49).all()
         np.testing.assert_array_equal(fm_dense.values[:, 3:], rescale_columns(out))
@@ -345,6 +361,47 @@ class TestExtractFeatures:
     def test_invalid_radius(self):
         with pytest.raises(ValidationError):
             NeighborhoodSpec(radius=0.0)
+
+
+class TestRadiusPairSource:
+    @pytest.mark.parametrize("side", [4, 7, 11])
+    def test_exact_sphere_lattices_equal_naive_scan(self, side):
+        # Integer lattice normalized to steps of 1/(side-1); at a radius of
+        # sqrt(m) lattice steps, neighbors lie exactly on the sphere, and
+        # the rounded d^2 <= r^2 test alone decides whether they count.
+        grid = np.array(list(itertools.product(range(side), repeat=3)), dtype=np.float64)
+        cloud = normalize_unit_cube(PointCloud(xyz=grid))
+        for m in (1, 2, 3, 4, 5):
+            spec = NeighborhoodSpec(radius=np.sqrt(m) / (side - 1))
+            assert not assert_features_equal_naive_scan(cloud, spec)
+
+    @pytest.mark.parametrize("size", [1, _RADIUS_CHUNK - 1, _RADIUS_CHUNK, _RADIUS_CHUNK + 1,
+                                      3 * _RADIUS_CHUNK + 5])
+    @pytest.mark.parametrize("include_center", [True, False])
+    def test_chunk_boundary_sizes_equal_naive_scan(self, size, include_center):
+        # Five values per axis and a third of the rows repeating another
+        # row: the chunks split runs of identical points and of ties on
+        # one axis.
+        rng = np.random.default_rng(size)
+        grid = rng.integers(0, 5, size=(size - size // 3, 3))
+        grid = np.vstack([grid, grid[rng.integers(0, len(grid), size=size // 3)]])
+        cloud = PointCloud(xyz=grid[rng.permutation(size)] / 4.0, normalized=True)
+        assert len(cloud) == size
+        for radius in (0.1, 0.3, 0.8):
+            spec = NeighborhoodSpec(radius=radius, include_center=include_center)
+            assert_features_equal_naive_scan(cloud, spec)
+
+    @pytest.mark.parametrize("radius", [0.5, 2.0])
+    def test_neighborhood_sizes_logged(self, caplog, radius):
+        # Normalized x = 0, 1/3, 1: at r=0.5 the sizes are 2, 2, 1; a
+        # whole-cloud radius gives every point all three.
+        cloud = normalize_unit_cube(PointCloud(xyz=[[0, 0, 0], [0.3, 0, 0], [0.9, 0, 0]]))
+        with caplog.at_level(logging.INFO, logger="prodcoef"):
+            extract_features(cloud, NeighborhoodSpec(radius=radius))
+        expected = {0.5: "min 1, median 2.0, max 2", 2.0: "min 3, median 3.0, max 3"}[radius]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"neighborhood sizes: {expected}"
+        ]
 
 
 def _edge_clouds():

@@ -110,6 +110,22 @@ def test_non_positive_scale_rejected(las_file):
         read_las(las_file(raw_xyz=[(0, 0, 0)], scale=(0.0, 0.01, 0.01)))
 
 
+@pytest.mark.parametrize("scale, offset, raw, field", [
+    ((float("nan"), 0.01, 0.01), (0.0, 0.0, 0.0), 1, r"non-finite X coordinate scale nan"),
+    ((0.01, float("inf"), 0.01), (0.0, 0.0, 0.0), 1, r"non-finite Y coordinate scale inf"),
+    ((0.01, 0.01, 0.01), (0.0, 0.0, float("nan")), 1, r"non-finite Z coordinate offset nan"),
+    ((0.01, 0.01, 0.01), (float("-inf"), 0.0, 0.0), 1, r"non-finite X coordinate offset -inf"),
+    ((0.01, 1e308, 0.01), (0.0, 0.0, 0.0), 2, r"Y coordinate scale 1e\+308 .*overflow"),
+    ((0.01, 0.01, 1e300), (0.0, 0.0, 1.7e308), 10**8, r"Z coordinate .*offset 1\.7e\+308 overflow"),
+], ids=["nan scale", "inf scale", "nan offset", "-inf offset", "scale overflow",
+        "offset overflow"])
+def test_non_finite_or_overflowing_scale_and_offset_rejected(las_file, scale, offset, raw, field):
+    path = las_file(name="odd.las", raw_xyz=[(0, 0, 0), (raw, raw, raw)], scale=scale,
+                    offset=offset)
+    with pytest.raises(FormatError, match=rf"odd\.las: {field}"):
+        read_las(path)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(FormatError):
         read_las(tmp_path / "missing.las")

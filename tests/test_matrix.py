@@ -67,6 +67,28 @@ def test_csv_round_trip_without_labels(tmp_path):
     np.testing.assert_array_equal(back.values, fm.values)
 
 
+@pytest.mark.parametrize("batch", [4096, 2])
+def test_write_csv_extreme_values_exact_text(tmp_path, monkeypatch, batch):
+    monkeypatch.setattr("prodcoef.matrix._WRITE_ROWS", batch)
+    biggest = float(np.finfo(np.float64).max)
+    values = [[-0.0, 5e-324, 1e16], [0.1 + 0.2, biggest, 1.0], [0.5, -biggest, 1e-17]]
+    path = tmp_path / "m.csv"
+    write_feature_csv(FeatureMatrix(values, ("a", "b", "c"), [-2**63, 2**63 - 1, 0]), path)
+    assert path.read_text() == (
+        "a,b,c,label\n"
+        "-0.0,5e-324,1e+16,-9223372036854775808\n"
+        "0.30000000000000004,1.7976931348623157e+308,1.0,9223372036854775807\n"
+        "0.5,-1.7976931348623157e+308,1e-17,0\n"
+    )
+    write_feature_csv(FeatureMatrix(values, ("a", "b", "c")), path)
+    assert path.read_text() == (
+        "a,b,c\n"
+        "-0.0,5e-324,1e+16\n"
+        "0.30000000000000004,1.7976931348623157e+308,1.0\n"
+        "0.5,-1.7976931348623157e+308,1e-17\n"
+    )
+
+
 def test_csv_errors(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
