@@ -34,11 +34,6 @@ from .errors import ConsistencyError, ValidationError
 ADDITIVITY_TOL = 1e-12
 
 
-def node_count(depth: int) -> int:
-    """Number of nodes in a complete binary tree with `depth` split levels."""
-    return 2 ** (depth + 1) - 1
-
-
 def level_of(node: int) -> int:
     return node.bit_length() - 1
 

@@ -18,23 +18,16 @@ job order, so reports are the same bytes for any worker count.
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ProdcoefError, ValidationError
-from .forest import (
-    ForestConfig,
-    RandomForestModel,
-    forest_to_json,
-    rf_fit,
-    rf_predict_labels,
-)
+from .forest import ForestConfig, RandomForestModel, rf_fit, rf_predict_labels
 from .knn import KnnModel, knn_predict_labels
 from .matrix import FeatureMatrix
-from .pca import PcaModel, fit_pca, pca_to_json, transform
+from .pca import PcaModel, fit_pca, transform
 from .workers import worker_count
 
 F1_AVERAGES = ("macro", "micro", "weighted")
@@ -185,19 +178,6 @@ class FittedPipeline:
         if isinstance(self.model, KnnModel):
             return knn_predict_labels(self.model, queries)
         return rf_predict_labels(self.model, queries)
-
-    def fingerprint(self) -> str:
-        """Content digest of everything learned from the training data."""
-        digest = hashlib.sha256()
-        if self.pca is not None:
-            digest.update(pca_to_json(self.pca).encode())
-        if isinstance(self.model, KnnModel):
-            digest.update(self.model.train.values.tobytes())
-            digest.update(self.model.train.labels.tobytes())
-            digest.update(str(self.model.k).encode())
-        else:
-            digest.update(forest_to_json(self.model).encode())
-        return digest.hexdigest()
 
 
 class ClassifierPipeline:

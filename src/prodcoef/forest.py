@@ -32,13 +32,25 @@ The threshold between neighbours lo < hi is lo + (hi - lo) / 2, unless
 hi - lo overflows; then it is lo / 2 + hi / 2. A boundary whose
 midpoint rounds up to hi (adjacent floats) is skipped, because the
 threshold would not separate the two values.
+
+A fitted tree is five arrays, one row per node in preorder: feature,
+threshold, left and right child, and an (n_nodes, n_classes) table of
+class counts that is zero except at leaves. The builder writes them in
+place, sized by the bound 2 * distinct rows - 1, and trims them once
+the tree is done; forest_from_json fills the same arrays. Loading
+checks what the builder guarantees, or raises FormatError naming the
+tree and node: classes are strictly ascending int64 codes, the tree
+count matches the config, children come after their parent (so routing
+always ends), features exist, thresholds are finite, and every leaf has
+at least one count, each an int64 over a listed class.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,38 +78,44 @@ class ForestConfig:
             raise ValidationError("seed must fit an unsigned 64-bit integer")
 
 
+@dataclass(frozen=True)
 class _Tree:
-    """Flat node arrays; index 0 is the root."""
+    """One tree as node arrays; index 0 is the root.
 
-    __slots__ = ("feature", "threshold", "left", "right", "leaf_counts", "leaf_major")
+    A split node sends rows with x[feature] <= threshold to `left`, the
+    rest to `right`. A leaf has feature, left and right -1 and keeps its
+    class counts in its row of `counts`; the rows of split nodes are
+    zero. A tree fitted on n rows has at most 2n - 1 nodes, so int32
+    indexes hold any training matrix of fewer than 2**30 rows.
+    """
 
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.leaf_counts: list[np.ndarray | None] = []
-        self.leaf_major = None
+    feature: np.ndarray  # int32 per node
+    threshold: np.ndarray  # float64 per node
+    left: np.ndarray  # int32 per node
+    right: np.ndarray  # int32 per node
+    counts: np.ndarray  # (n_nodes, n_classes) int64
 
-    def add_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.leaf_counts.append(None)
-        return len(self.feature) - 1
-
-    def finalize(self) -> None:
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        self.left = np.asarray(self.left, dtype=np.int64)
-        self.right = np.asarray(self.right, dtype=np.int64)
-        # argmax picks the first maximum: leaf vote ties go to the
-        # smallest class code (classes are kept sorted).
-        self.leaf_major = np.array(
-            [int(np.argmax(c)) if c is not None else -1 for c in self.leaf_counts],
-            dtype=np.int64,
+    @classmethod
+    def blank(cls, n_nodes: int, n_classes: int) -> _Tree:
+        """`n_nodes` leaves with no counts, to be filled in place."""
+        return cls(
+            feature=np.full(n_nodes, -1, dtype=np.int32),
+            threshold=np.zeros(n_nodes),
+            left=np.full(n_nodes, -1, dtype=np.int32),
+            right=np.full(n_nodes, -1, dtype=np.int32),
+            counts=np.zeros((n_nodes, n_classes), dtype=np.int64),
         )
+
+    def head(self, n_nodes: int) -> _Tree:
+        """A copy of the first `n_nodes` nodes."""
+        return _Tree(*(getattr(self, f.name)[:n_nodes].copy() for f in fields(self)))
+
+    @property
+    def leaf_major(self) -> np.ndarray:
+        """Majority class position per node, read at leaves. argmax
+        picks the first maximum: leaf vote ties go to the smallest class
+        code (classes are kept sorted)."""
+        return self.counts.argmax(axis=1)
 
 
 @dataclass(frozen=True)
@@ -176,28 +194,28 @@ def _build_tree(columns: np.ndarray, order: np.ndarray, wide: bool, y: np.ndarra
         *counts, size = totals.tolist()
         return size >= config.min_samples_split and max(counts) < size
 
-    tree = _Tree()
     totals = table.sum(axis=0)
     root = order[(weight > 0)[order]].reshape(n_features, -1)
+    # Every leaf holds at least one distinct row, which bounds the nodes.
+    tree = _Tree.blank(2 * root.shape[1] - 1, n_classes)
+    n_nodes = 0
     # Stack of (order matrix, or None for a leaf; class counts plus size;
     # depth; parent node; is_left_child). Popping left children first
     # keeps the RNG draw order a fixed preorder walk.
     stack = [(root if can_split(totals, 0) else None, totals, 0, -1, False)]
     while stack:
         rows, totals, depth, parent, is_left = stack.pop()
-        node = tree.add_node()
+        node = n_nodes
+        n_nodes += 1
         if parent >= 0:
-            if is_left:
-                tree.left[parent] = node
-            else:
-                tree.right[parent] = node
+            (tree.left if is_left else tree.right)[parent] = node
 
         split = None
         if rows is not None:
             features = np.sort(rng.choice(n_features, size=m_try, replace=False))
             split = _best_split(columns, rows, table, totals, features, wide)
         if split is None:
-            tree.leaf_counts[node] = totals[:n_classes]
+            tree.counts[node] = totals[:n_classes]
             continue
         feature, cut, threshold, left_cum = split
         tree.feature[node] = feature
@@ -217,8 +235,7 @@ def _build_tree(columns: np.ndarray, order: np.ndarray, wide: bool, y: np.ndarra
         # Push right first so the left child is popped (and built) first.
         stack.append((right_rows, right_totals, depth + 1, node, False))
         stack.append((left_rows, left_totals, depth + 1, node, True))
-    tree.finalize()
-    return tree
+    return tree.head(n_nodes)
 
 
 def rf_fit(X: FeatureMatrix, config: ForestConfig | None = None) -> RandomForestModel:
@@ -281,33 +298,25 @@ def rf_predict_labels(model: RandomForestModel, queries: FeatureMatrix) -> np.nd
 def forest_to_json(model: RandomForestModel) -> str:
     """Array-of-trees JSON; nodes are {feature, threshold, left, right}
     or {leaf_counts: {class code: count}}."""
+    classes = model.classes.tolist()
     trees_payload = []
     for tree in model.trees:
         nodes = []
-        for i in range(len(tree.feature)):
-            if tree.feature[i] >= 0:
+        for feature, threshold, left, right, counts in zip(
+            tree.feature.tolist(), tree.threshold.tolist(), tree.left.tolist(),
+            tree.right.tolist(), tree.counts.tolist(),
+        ):
+            if feature >= 0:
                 nodes.append(
-                    {
-                        "feature": int(tree.feature[i]),
-                        "threshold": float(tree.threshold[i]),
-                        "left": int(tree.left[i]),
-                        "right": int(tree.right[i]),
-                    }
+                    {"feature": feature, "threshold": threshold, "left": left, "right": right}
                 )
             else:
-                counts = tree.leaf_counts[i]
                 nodes.append(
-                    {
-                        "leaf_counts": {
-                            str(int(c)): int(v)
-                            for c, v in zip(model.classes, counts)
-                            if v > 0
-                        }
-                    }
+                    {"leaf_counts": {str(c): v for c, v in zip(classes, counts) if v > 0}}
                 )
         trees_payload.append(nodes)
     payload = {
-        "classes": [int(c) for c in model.classes],
+        "classes": classes,
         "n_features": model.n_features,
         "config": {
             "n_trees": model.config.n_trees,
@@ -320,15 +329,16 @@ def forest_to_json(model: RandomForestModel) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def forest_from_json(text: str) -> RandomForestModel:
-    """Inverse of forest_to_json. The tree structure is checked on load:
-    children must come after their parent (so routing always ends),
-    features must exist and leaf class codes must be in `classes`. A
-    payload that is not a forest raises FormatError, naming the tree and
-    node where one is at fault."""
+    """Inverse of forest_to_json, checked on load (see the module
+    docstring). A payload that is not a forest raises FormatError,
+    naming the tree and node where one is at fault."""
     try:
         payload = json.loads(text)
-        classes = np.asarray(payload["classes"], dtype=np.int64)
+        codes = list(payload["classes"])
         n_features = int(payload["n_features"])
         cfg = payload["config"]
         config = ForestConfig(
@@ -338,27 +348,36 @@ def forest_from_json(text: str) -> RandomForestModel:
             seed=cfg["seed"],
         )
         trees_payload = list(payload["trees"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise FormatError(f"not a forest payload: {type(exc).__name__}: {exc}") from None
-    class_pos = {c: i for i, c in enumerate(classes.tolist())}
+    if not (
+        codes
+        and all(type(c) is int and _INT64.min <= c <= _INT64.max for c in codes)
+        and all(a < b for a, b in zip(codes, codes[1:]))
+    ):
+        raise FormatError(f"forest classes {codes} are not strictly ascending int64 codes")
+    if len(trees_payload) != config.n_trees:
+        raise FormatError(
+            f"forest has {len(trees_payload)} trees, its config says {config.n_trees}"
+        )
+    class_pos = {c: i for i, c in enumerate(codes)}
     trees = []
     for t, nodes in enumerate(trees_payload):
-        if not nodes:
+        if not (isinstance(nodes, list) and nodes):
             raise FormatError(f"forest tree {t} has no nodes")
-        tree = _Tree()
-        for spec in nodes:
-            i = tree.add_node()
+        tree = _Tree.blank(len(nodes), len(codes))
+        for i, spec in enumerate(nodes):
             where = f"forest tree {t} node {i}"
             try:
                 if "leaf_counts" in spec:
-                    counts = np.zeros(len(classes), dtype=np.int64)
                     for code, count in spec["leaf_counts"].items():
                         if int(code) not in class_pos:
                             raise FormatError(f"{where}: leaf class {code} is not in classes")
-                        if not (type(count) is int and count >= 0):
+                        if not (type(count) is int and 0 <= count <= _INT64.max):
                             raise FormatError(f"{where}: leaf count {count!r} is not a count")
-                        counts[class_pos[int(code)]] = count
-                    tree.leaf_counts[i] = counts
+                        tree.counts[i, class_pos[int(code)]] = count
+                    if not tree.counts[i].any():
+                        raise FormatError(f"{where}: leaf has no counts")
                     continue
                 feature, left, right = spec["feature"], spec["left"], spec["right"]
                 threshold = spec["threshold"]
@@ -376,15 +395,17 @@ def forest_from_json(text: str) -> RandomForestModel:
                 )
             if type(threshold) not in (int, float):
                 raise FormatError(f"{where}: threshold {threshold!r} is not a number")
+            # Compares ints exactly, and is False for NaN.
+            if not abs(threshold) <= sys.float_info.max:
+                raise FormatError(f"{where}: threshold {threshold!r} is not finite")
             tree.feature[i] = feature
             tree.threshold[i] = threshold
             tree.left[i] = left
             tree.right[i] = right
-        tree.finalize()
         trees.append(tree)
     return RandomForestModel(
         config=config,
-        classes=classes,
+        classes=np.array(codes, dtype=np.int64),
         n_features=n_features,
         trees=tuple(trees),
     )

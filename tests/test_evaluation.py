@@ -27,8 +27,9 @@ from prodcoef.evaluation import (
     report_to_json,
     weighted_f1,
 )
+from prodcoef.forest import forest_to_json
 from prodcoef.matrix import FeatureMatrix
-from prodcoef.pca import fit_pca, transform
+from prodcoef.pca import fit_pca, pca_to_json, transform
 
 
 def _matrix(values, labels=None):
@@ -338,7 +339,14 @@ class TestNoLeakage:
             pipeline = ClassifierPipeline(spec)
             clean_fit = pipeline.fit(features.take_rows(train_idx))
             poisoned_fit = pipeline.fit(poisoned.take_rows(train_idx))
-            assert clean_fit.fingerprint() == poisoned_fit.fingerprint()
+            assert pca_to_json(clean_fit.pca) == pca_to_json(poisoned_fit.pca)
+            clean, dirty = clean_fit.model, poisoned_fit.model
+            if spec.classifier == "rf":
+                assert forest_to_json(clean) == forest_to_json(dirty)
+            else:
+                assert clean.k == dirty.k
+                assert clean.train.values.tobytes() == dirty.train.values.tobytes()
+                assert clean.train.labels.tobytes() == dirty.train.labels.tobytes()
 
 
 def _report(mean, std, **config):

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,8 +15,6 @@ from prodcoef.evaluation import CrossValPlan, fold_assignment
 from prodcoef.features import NeighborhoodSpec, extract_features
 from prodcoef.forest import (
     ForestConfig,
-    RandomForestModel,
-    _Tree,
     _vote_matrix,
     forest_from_json,
     forest_to_json,
@@ -75,24 +75,19 @@ def test_different_seeds_differ():
     assert a != b
 
 
+def _forest_payload(classes, n_features, trees):
+    """A saved forest: `trees` lists each tree's nodes in the JSON format."""
+    config = {"n_trees": len(trees), "max_depth": None, "min_samples_split": 2, "seed": 0}
+    return {"classes": classes, "n_features": n_features, "config": config, "trees": trees}
+
+
 def _hand_built_model():
-    tree = _Tree()
-    root = tree.add_node()
-    tree.feature[root] = 0
-    tree.threshold[root] = 0.5
-    left = tree.add_node()
-    tree.leaf_counts[left] = np.array([10, 0])
-    right = tree.add_node()
-    tree.leaf_counts[right] = np.array([0, 7])
-    tree.left[root] = left
-    tree.right[root] = right
-    tree.finalize()
-    return RandomForestModel(
-        config=ForestConfig(n_trees=1, seed=0),
-        classes=np.array([3, 8]),
-        n_features=2,
-        trees=(tree,),
-    )
+    tree = [
+        {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
+        {"leaf_counts": {"3": 10}},
+        {"leaf_counts": {"8": 7}},
+    ]
+    return forest_from_json(json.dumps(_forest_payload([3, 8], 2, [tree])))
 
 
 def test_hand_built_tree_routing():
@@ -102,16 +97,8 @@ def test_hand_built_tree_routing():
 
 
 def test_identical_single_leaf_trees():
-    tree = _Tree()
-    node = tree.add_node()
-    tree.leaf_counts[node] = np.array([0, 5])
-    tree.finalize()
-    model = RandomForestModel(
-        config=ForestConfig(n_trees=3, seed=0),
-        classes=np.array([1, 3]),
-        n_features=1,
-        trees=(tree, tree, tree),
-    )
+    leaf = [{"leaf_counts": {"3": 5}}]
+    model = forest_from_json(json.dumps(_forest_payload([1, 3], 1, [leaf] * 3)))
     queries = _matrix([[0.1], [0.9]])
     assert rf_predict_labels(model, queries).tolist() == [3, 3]
     assert _vote_matrix(model, queries).tolist() == [[0, 3], [0, 3]]
@@ -132,7 +119,7 @@ def test_forest_vote_matches_per_tree_recount():
                 node = tree.left[node]
             else:
                 node = tree.right[node]
-        counts = tree.leaf_counts[node]
+        counts = tree.counts[node]
         best = counts.max()
         return min(c for c, v in zip(model.classes.tolist(), counts) if v == best)
 
@@ -164,7 +151,7 @@ def test_every_split_has_positive_gini_gain():
             rows = node_rows[node]
             if tree.feature[node] < 0:
                 counts = np.bincount(y[rows], minlength=len(classes))
-                np.testing.assert_array_equal(counts, tree.leaf_counts[node])
+                np.testing.assert_array_equal(counts, tree.counts[node])
                 assert counts.sum() == len(rows)
                 continue
             go_left = X.values[rows, tree.feature[node]] <= tree.threshold[node]
@@ -215,6 +202,37 @@ def test_json_round_trip_preserves_predictions():
     assert len(payload["trees"]) == 15
     node = payload["trees"][0][0]
     assert ("leaf_counts" in node) or {"feature", "threshold", "left", "right"} <= set(node)
+
+
+def test_json_round_trip_reproduces_node_arrays():
+    rng = np.random.default_rng(18)
+    X = _matrix(rng.normal(size=(200, 5)) * 1e3, rng.choice([-4, 2, 7, 30], size=200))
+    model = rf_fit(X, ForestConfig(n_trees=6, max_depth=6, seed=9))
+    back = forest_from_json(forest_to_json(model))
+    assert back.classes.tolist() == model.classes.tolist()
+    _assert_same_trees(back.trees, model.trees)
+
+
+def test_fitted_model_retains_few_bytes_per_node():
+    # A node is one int32 feature, float64 threshold, two int32 children
+    # and a row of int64 class counts: 44 bytes for three classes. One
+    # Python object per node or leaf would cost over 100 bytes more.
+    rng = np.random.default_rng(19)
+    X = _matrix(rng.uniform(size=(3000, 4)), rng.integers(0, 3, size=3000))
+    config = ForestConfig(n_trees=1, seed=0)
+    rf_fit(X, config)  # warm up numpy's lazily built state
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model = rf_fit(X, config)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n_nodes = len(model.trees[0].feature)
+    assert n_nodes > 1000
+    assert retained / n_nodes < 80
 
 
 def test_insufficient_data():
@@ -287,21 +305,20 @@ def _reference_best_split(X_node, y_node, counts, features):
     )
 
 
-def _reference_build_tree(X, y, n_classes, config, rng):
+def _reference_build_tree(X, y, classes, config, rng):
+    """The tree's nodes in preorder, in the saved JSON format."""
     n_rows, n_features = X.shape
+    n_classes = len(classes)
     m_try = math.ceil(math.sqrt(n_features))
     sample = rng.integers(0, n_rows, size=n_rows)
 
-    tree = _Tree()
-    stack = [(sample, 0, -1, False)]
+    nodes = []
+    stack = [(sample, 0, -1, "")]
     while stack:
-        rows, depth, parent, is_left = stack.pop()
-        node = tree.add_node()
+        rows, depth, parent, side = stack.pop()
+        node = len(nodes)
         if parent >= 0:
-            if is_left:
-                tree.left[parent] = node
-            else:
-                tree.right[parent] = node
+            nodes[parent][side] = node
 
         y_node = y[rows]
         counts = np.bincount(y_node, minlength=n_classes)
@@ -311,42 +328,38 @@ def _reference_build_tree(X, y, n_classes, config, rng):
             features = np.sort(rng.choice(n_features, size=m_try, replace=False))
             split = _reference_best_split(X[rows], y_node, counts, features)
         if split is None:
-            tree.leaf_counts[node] = counts
+            nodes.append(
+                {"leaf_counts": {str(c): int(v) for c, v in zip(classes, counts) if v > 0}}
+            )
             continue
         feature, threshold, _ = split
         go_left = X[rows, feature] <= threshold
-        tree.feature[node] = feature
-        tree.threshold[node] = threshold
-        stack.append((rows[~go_left], depth + 1, node, False))
-        stack.append((rows[go_left], depth + 1, node, True))
-    tree.finalize()
-    return tree
+        nodes.append({"feature": feature, "threshold": threshold})
+        stack.append((rows[~go_left], depth + 1, node, "right"))
+        stack.append((rows[go_left], depth + 1, node, "left"))
+    return nodes
 
 
 def _reference_fit(X, config):
     classes = np.unique(X.labels)
     y = np.searchsorted(classes, X.labels)
-    return [
+    trees = [
         _reference_build_tree(
-            X.values, y, len(classes), config,
+            X.values, y, classes.tolist(), config,
             np.random.default_rng(np.random.SeedSequence([config.seed, i])),
         )
         for i in range(config.n_trees)
     ]
+    payload = _forest_payload(classes.tolist(), X.n_cols, trees)
+    return forest_from_json(json.dumps(payload)).trees
 
 
 def _assert_same_trees(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
-        np.testing.assert_array_equal(a.feature, b.feature)
-        assert a.threshold.tobytes() == b.threshold.tobytes()
-        np.testing.assert_array_equal(a.left, b.left)
-        np.testing.assert_array_equal(a.right, b.right)
-        assert len(a.leaf_counts) == len(b.leaf_counts)
-        for ca, cb in zip(a.leaf_counts, b.leaf_counts):
-            assert (ca is None) == (cb is None)
-            if ca is not None:
-                np.testing.assert_array_equal(ca, cb)
+        for name in ("feature", "threshold", "left", "right", "counts"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
 
 @st.composite
@@ -472,11 +485,22 @@ def _payload_with(mutate):
         (lambda root, leaf: root.update(threshold="x"), False, "threshold 'x' is not a number"),
         (lambda root, leaf: leaf.update(leaf_counts={"0": "many"}), True,
          "leaf count 'many' is not a count"),
+        (lambda root, leaf: root.update(threshold=float("nan")), False,
+         "threshold nan is not finite"),
+        (lambda root, leaf: root.update(threshold=float("inf")), False,
+         "threshold inf is not finite"),
+        (lambda root, leaf: root.update(threshold=10**400), False,
+         "threshold 10{400} is not finite"),
+        (lambda root, leaf: leaf.update(leaf_counts={"0": 10**30}), True,
+         "leaf count 10{30} is not a count"),
+        (lambda root, leaf: leaf.update(leaf_counts={}), True, "leaf has no counts"),
+        (lambda root, leaf: leaf.update(leaf_counts={"1": 0}), True, "leaf has no counts"),
     ],
     ids=[
         "self-loop", "child out of range", "bad feature", "fractional feature",
         "fractional child", "unknown class", "split without children", "non-integer class",
-        "non-numeric threshold", "non-integer count",
+        "non-numeric threshold", "non-integer count", "NaN threshold", "infinite threshold",
+        "overflowing threshold", "overflowing count", "leaf without counts", "zero counts",
     ],
 )
 def test_forest_from_json_rejects_broken_structure(mutate, at_leaf, message):
@@ -491,6 +515,36 @@ def test_forest_from_json_rejects_empty_tree():
     payload = json.loads(text)
     payload["trees"][0] = []
     with pytest.raises(FormatError, match="tree 0 has no nodes"):
+        forest_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda p: p.update(classes=[1, 0]), r"classes \[1, 0\] are not strictly ascending"),
+        (lambda p: p.update(classes=[0, 0, 1]), r"classes \[0, 0, 1\] are not strictly"),
+        (lambda p: p.update(classes=[]), r"classes \[\] are not strictly"),
+        (lambda p: p.update(classes=[0, 1.0]), r"classes \[0, 1.0\] are not strictly"),
+        (lambda p: p.update(classes=[0, 2**63]), "are not strictly ascending int64 codes"),
+        (lambda p: p["trees"].pop(), "forest has 1 trees, its config says 2"),
+        (lambda p: p.update(trees=[]), "forest has 0 trees, its config says 2"),
+        (lambda p: p["config"].update(n_trees=3), "forest has 2 trees, its config says 3"),
+        (lambda p: p["config"].update(n_trees=0),
+         "not a forest payload: ValidationError: need at least one tree"),
+        (lambda p: p.update(n_features=float("inf")), "not a forest payload: OverflowError"),
+        (lambda p: p["trees"].__setitem__(0, 5), "forest tree 0 has no nodes"),
+    ],
+    ids=[
+        "descending classes", "repeated class", "no classes", "float class",
+        "class beyond int64", "missing tree", "no trees", "extra tree in config",
+        "zero trees in config", "infinite feature count", "tree not a node list",
+    ],
+)
+def test_forest_from_json_rejects_inconsistent_payload(mutate, message):
+    text, _ = _payload_with(lambda root, leaf: None)
+    payload = json.loads(text)
+    mutate(payload)
+    with pytest.raises(FormatError, match=message):
         forest_from_json(json.dumps(payload))
 
 
