@@ -24,9 +24,23 @@ own order matrix, so no node sorts or bincounts. This grows the same
 trees as splitting the duplicated rows. A gain at a boundary between
 distinct values depends only on the class counts to its left, which
 weights reproduce exactly; the gain keeps the float expression of the
-duplicated-row split, and its sums of squared integer counts are exact
-in float64. Boundaries inside a run of equal values never qualify, so
-dropping duplicates removes no candidate.
+duplicated-row split. Boundaries inside a run of equal values never
+qualify, so dropping duplicates removes no candidate.
+
+The weighted one-hot table is float64. Every value the split search
+derives from it is an integer: class counts and sizes up to n, sums of
+squared counts up to n**2, and the right side's sum of squares,
+T.T - 2 L.T + L.L for left counts L and node totals T, whose partial
+results stay within 2 n**2. Below 2**26 training rows all of them lie
+under 2**53, so float64 holds them exactly, in any summation order,
+and the gains equal those of integer arithmetic bit for bit.
+
+Candidate draws do not call Generator.choice per node, whose fixed
+cost outweighs the sampling: _CandidateDraws reproduces its samples
+from the tree generator's own uint32 stream (see there). The equality
+rests on numpy's choice and PCG64 internals; a test compares over a
+million draws with choice, so a numpy release that changes them fails
+loudly.
 
 The threshold between neighbours lo < hi is lo + (hi - lo) / 2, unless
 hi - lo overflows; then it is lo / 2 + hi / 2. A boundary whose
@@ -41,8 +55,10 @@ the tree is done; forest_from_json fills the same arrays. Loading
 checks what the builder guarantees, or raises FormatError naming the
 tree and node: classes are strictly ascending int64 codes, the tree
 count matches the config, children come after their parent (so routing
-always ends), features exist, thresholds are finite, and every leaf has
-at least one count, each an int64 over a listed class.
+always ends), every node but the root has exactly one parent (so every
+node is reachable), features exist, thresholds are finite, and every
+leaf has at least one count, each an int64 over a listed class that it
+names once.
 """
 
 from __future__ import annotations
@@ -139,27 +155,30 @@ def _best_split(columns: np.ndarray, rows: np.ndarray, table: np.ndarray,
     `columns` is the training matrix transposed. `rows` is the node's
     (n_features, n) order matrix: row f lists the node's distinct rows
     sorted by column f. `table` holds each row's weighted one-hot class
-    counts plus its weight in the last column, and `totals` is the
-    node's sum of it. The first `cut` entries of the winning feature's
-    order go left. `wide` says some column's span overflows, so a
-    midpoint may need the overflow-safe form. Returns None when no
+    counts plus its weight in the last column, as float64, and `totals`
+    is the node's sum of it. The first `cut` entries of the winning
+    feature's order go left. `wide` says some column's span overflows,
+    so a midpoint may need the overflow-safe form. Returns None when no
     candidate has strictly positive gain. `features` must be sorted
     ascending so the first argmax hit honors the lowest-feature
     tie-break; within one feature, thresholds ascend with sort position,
     so the first argmax hit is the lowest threshold.
     """
-    n = int(totals[-1])
+    n = totals[-1]
     order = rows[features]
     xs = columns[features[:, None], order]
     cum = np.cumsum(table.take(order, axis=0), axis=1)
 
-    left = cum[:, :-1]  # class counts and size at split "after entry i"
-    right = totals - left
-    sumsq_left = np.einsum("ijk,ijk->ij", left[..., :-1], left[..., :-1])
-    sumsq_right = np.einsum("ijk,ijk->ij", right[..., :-1], right[..., :-1])
-    n_left, n_right = left[..., -1], right[..., -1]
+    left = cum[:, :-1, :-1]  # class counts at split "after entry i"
+    n_left = cum[:, :-1, -1]
+    sumsq_left = np.einsum("ijk,ijk->ij", left, left)
+    # sum((T - L)^2) without building T - L; exact, as every partial
+    # result is an integer below 2**53 (see the module docstring).
+    class_totals = totals[:-1]
+    sumsq_right = (class_totals @ class_totals - 2.0 * (left @ class_totals)) + sumsq_left
+    n_right = n - n_left
     weighted = (n_left - sumsq_left / n_left + n_right - sumsq_right / n_right) / n
-    gain = _gini(totals[:-1], n) - weighted
+    gain = _gini(class_totals, n) - weighted
 
     lo, hi = xs[:, :-1], xs[:, 1:]
     if wide:
@@ -179,12 +198,77 @@ def _best_split(columns: np.ndarray, rows: np.ndarray, table: np.ndarray,
     return int(features[winner]), pos + 1, float(mid[winner, pos]), cum[winner, pos]
 
 
+class _CandidateDraws:
+    """Sorted candidate features per split search, equal to
+    np.sort(rng.choice(d, m, replace=False)) with m = ceil(sqrt(d)),
+    call after call.
+
+    It reads the generator's uint32 stream as PCG64's next_uint32 does:
+    the buffered high half first when `has_uint32` is set, then each
+    random_raw word's low half before its high half. A draw follows
+    choice's path for replace=False, which for this m is always Floyd's
+    sampling (Bentley & Floyd, CACM 1987; choice shuffles a tail instead
+    only when d > 10,000 and m > d // 50): for j = d - m ... d - 1 it
+    takes t uniform on [0, j] and keeps t, or j if t is already kept.
+    Then it consumes the m - 1 draws of choice's shuffle, on [0, i] for
+    i = m - 1 ... 1, whose order sorting discards. Each draw on [0, j]
+    is Lemire's (ACM TOMACS 2019) on 32 bits: the high word of
+    u * (j + 1), drawing u again while the low word is below
+    2**32 % (j + 1); j = 0 takes no draw. Numpy uses this 32-bit form
+    only for j < 2**32 - 1, so d must be below 2**32.
+
+    The stream is read ahead in blocks, so the generator must not be
+    used for anything else once the draws start.
+    """
+
+    _RAW_WORDS = 256
+
+    def __init__(self, rng: np.random.Generator, n_features: int):
+        if n_features >= 2**32:
+            raise ValidationError(
+                f"the forest samples from fewer than 2**32 features, got {n_features}"
+            )
+        m_try = math.ceil(math.sqrt(n_features))
+        self._next = self._uint32s(rng.bit_generator).__next__
+        # Floyd's steps as (j, j + 1, rejection threshold); j = 0 keeps 0.
+        self._floyd = [(j, j + 1, 2**32 % (j + 1))
+                       for j in range(max(n_features - m_try, 1), n_features)]
+        self._keeps_zero = m_try == n_features
+        self._shuffle = [(i + 1, 2**32 % (i + 1)) for i in range(m_try - 1, 0, -1)]
+
+    @classmethod
+    def _uint32s(cls, bit_generator):
+        state = bit_generator.state
+        if state["has_uint32"]:
+            yield state["uinteger"]
+        halves = np.empty((cls._RAW_WORDS, 2), dtype=np.uint64)
+        while True:
+            words = bit_generator.random_raw(cls._RAW_WORDS)
+            halves[:, 0] = words & 0xFFFFFFFF
+            halves[:, 1] = words >> 32
+            yield from halves.ravel().tolist()
+
+    def draw(self) -> np.ndarray:
+        next_u32 = self._next
+        kept = {0} if self._keeps_zero else set()
+        for j, span, threshold in self._floyd:
+            m = next_u32() * span
+            while m & 0xFFFFFFFF < threshold:
+                m = next_u32() * span
+            t = m >> 32
+            kept.add(j if t in kept else t)
+        for span, threshold in self._shuffle:
+            while next_u32() * span & 0xFFFFFFFF < threshold:
+                pass
+        return np.array(sorted(kept))
+
+
 def _build_tree(columns: np.ndarray, order: np.ndarray, wide: bool, y: np.ndarray,
                 n_classes: int, config: ForestConfig, rng: np.random.Generator) -> _Tree:
     n_features, n_rows = columns.shape
-    m_try = math.ceil(math.sqrt(n_features))
     weight = np.bincount(rng.integers(0, n_rows, size=n_rows), minlength=n_rows)
-    table = np.zeros((n_rows, n_classes + 1), dtype=np.int64)
+    candidates = _CandidateDraws(rng, n_features)
+    table = np.zeros((n_rows, n_classes + 1))
     table[np.arange(n_rows), y] = weight
     table[:, n_classes] = weight
 
@@ -212,8 +296,7 @@ def _build_tree(columns: np.ndarray, order: np.ndarray, wide: bool, y: np.ndarra
 
         split = None
         if rows is not None:
-            features = np.sort(rng.choice(n_features, size=m_try, replace=False))
-            split = _best_split(columns, rows, table, totals, features, wide)
+            split = _best_split(columns, rows, table, totals, candidates.draw(), wide)
         if split is None:
             tree.counts[node] = totals[:n_classes]
             continue
@@ -370,12 +453,17 @@ def forest_from_json(text: str) -> RandomForestModel:
             where = f"forest tree {t} node {i}"
             try:
                 if "leaf_counts" in spec:
+                    listed = set()
                     for code, count in spec["leaf_counts"].items():
-                        if int(code) not in class_pos:
+                        pos = class_pos.get(int(code))
+                        if pos is None:
                             raise FormatError(f"{where}: leaf class {code} is not in classes")
+                        if pos in listed:
+                            raise FormatError(f"{where}: leaf class {code} is listed twice")
                         if not (type(count) is int and 0 <= count <= _INT64.max):
                             raise FormatError(f"{where}: leaf count {count!r} is not a count")
-                        tree.counts[i, class_pos[int(code)]] = count
+                        listed.add(pos)
+                        tree.counts[i, pos] = count
                     if not tree.counts[i].any():
                         raise FormatError(f"{where}: leaf has no counts")
                     continue
@@ -402,6 +490,13 @@ def forest_from_json(text: str) -> RandomForestModel:
             tree.threshold[i] = threshold
             tree.left[i] = left
             tree.right[i] = right
+        split = tree.feature >= 0
+        parents = np.bincount(np.concatenate([tree.left[split], tree.right[split]]),
+                              minlength=len(nodes))
+        wrong = np.flatnonzero(parents[1:] != 1)
+        if len(wrong):
+            i = int(wrong[0]) + 1
+            raise FormatError(f"forest tree {t} node {i}: {parents[i]} parents, needs exactly 1")
         trees.append(tree)
     return RandomForestModel(
         config=config,

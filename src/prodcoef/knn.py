@@ -2,9 +2,12 @@
 
 Exact KNN on a kd-tree (Friedman, Bentley & Finkel, ACM TOMS 1977). One
 cKDTree is built over the training rows per call. For each query the
-tree gives the distance r_k of its k-th nearest row, and a ball query
-of radius r_k * (1 + _RADIUS_SLACK) gathers every row that can be among
-the k nearest. The squared distance of each candidate pair is then
+tree returns its k + 1 nearest rows; with r_k the distance of the k-th,
+the candidates are the returned rows within r_k * (1 + _RADIUS_SLACK),
+every row that can be among the k nearest. When the (k+1)-th row is
+still within that radius, rows beyond it may be too, so the query asks
+again for twice as many rows, up to all n_train, until its last row
+lies outside. The squared distance of each candidate pair is then
 recomputed directly as sum((q - t)^2) over the columns, the same
 expression, rounding and summation order as a brute-force distance
 table, and the candidates are ordered by (squared distance, training
@@ -24,7 +27,6 @@ before building the tree.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +38,7 @@ _BLOCK_PAIRS = 4_000_000
 
 # cKDTree sums the squared differences in its own order, so its
 # distances can differ from the direct formula's in the last bits. The
-# relative slack on the ball radius keeps every row whose direct
+# relative slack on the candidate radius keeps every row whose direct
 # distance ties or beats the k-th one among the candidates; rows it
 # adds beyond those are sorted out by the recomputed distances.
 _RADIUS_SLACK = 1e-9
@@ -94,21 +96,41 @@ def _vote_matrix(model: KnnModel, queries: FeatureMatrix) -> np.ndarray:
     block = max(1, _BLOCK_PAIRS // len(T))
     for lo in range(0, queries.n_rows, block):
         Q = queries.values[lo : lo + block]
-        kth, _ = tree.query(Q, k=[k])
-        lists = tree.query_ball_point(Q, kth[:, 0] * (1 + _RADIUS_SLACK),
-                                      return_sorted=False)
-        counts = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-        idx = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
-                          count=int(counts.sum()))
-        row = np.repeat(np.arange(len(Q)), counts)
+        row, idx = _candidates(tree, Q, k)
         d2 = ((Q[row] - T[idx]) ** 2).sum(axis=-1)
         order = np.lexsort((idx, d2, row))
         # Sorting by row first keeps each query's candidates in one run
         # that starts where the previous queries' candidates end.
+        counts = np.bincount(row, minlength=len(Q))
         rank = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
         nearest = order[rank < k]
         np.add.at(votes, (lo + row[nearest], positions[idx[nearest]]), 1)
     return votes
+
+
+def _candidates(tree, Q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(query row, training row) pairs: for each query, every training
+    row whose kd distance is at most r_k * (1 + _RADIUS_SLACK).
+
+    The k + 1 nearest rows hold that list when the last of them lies
+    outside the radius. A query whose last row is still inside asks
+    again with twice as many rows, up to all of them."""
+    n_train = tree.n
+    rows, idx = [], []
+    pending = np.arange(len(Q))
+    width = min(k + 1, n_train)
+    while True:
+        dist, nbr = tree.query(Q[pending], k=width)
+        dist, nbr = dist.reshape(len(pending), width), nbr.reshape(len(pending), width)
+        inside = dist <= dist[:, k - 1 : k] * (1 + _RADIUS_SLACK)
+        done = ~inside[:, -1] | (width == n_train)
+        at, col = np.nonzero(inside[done])
+        rows.append(pending[done][at])
+        idx.append(nbr[done][at, col])
+        pending = pending[~done]
+        if not len(pending):
+            return np.concatenate(rows), np.concatenate(idx)
+        width = min(2 * width, n_train)
 
 
 def knn_predict_labels(model: KnnModel, queries: FeatureMatrix) -> np.ndarray:

@@ -15,6 +15,7 @@ from prodcoef.evaluation import CrossValPlan, fold_assignment
 from prodcoef.features import NeighborhoodSpec, extract_features
 from prodcoef.forest import (
     ForestConfig,
+    _CandidateDraws,
     _vote_matrix,
     forest_from_json,
     forest_to_json,
@@ -555,3 +556,75 @@ def test_forest_from_json_rejects_payload_without(key):
     del payload[key]
     with pytest.raises(FormatError, match=f"not a forest payload: KeyError: '{key}'"):
         forest_from_json(json.dumps(payload))
+
+
+def _leaf(counts):
+    return {"leaf_counts": counts}
+
+
+def _split(left, right):
+    return {"feature": 0, "threshold": 0.5, "left": left, "right": right}
+
+
+@pytest.mark.parametrize(
+    "nodes, message",
+    [
+        ([_split(2, 2), _leaf({"3": 1}), _leaf({"8": 1})], "node 1: 0 parents"),
+        ([_split(1, 2), _leaf({"3": 1}), _leaf({"8": 1}), _leaf({"3": 1})],
+         "node 3: 0 parents"),
+        ([_split(1, 2), _split(3, 4), _split(4, 5),
+          _leaf({"3": 1}), _leaf({"8": 1}), _leaf({"3": 1})], "node 4: 2 parents"),
+    ],
+    ids=["left equals right", "orphan node", "node with two parents"],
+)
+def test_forest_from_json_rejects_nodes_without_exactly_one_parent(nodes, message):
+    text = json.dumps(_forest_payload([3, 8], 1, [nodes]))
+    with pytest.raises(FormatError, match=f"tree 0 {message}, needs exactly 1"):
+        forest_from_json(text)
+
+
+def test_forest_from_json_rejects_a_class_spelled_twice_in_one_leaf():
+    nodes = [_split(1, 2), _leaf({"8": 2, "08": 5}), _leaf({"3": 1})]
+    with pytest.raises(FormatError, match="tree 0 node 1: leaf class 08 is listed twice"):
+        forest_from_json(json.dumps(_forest_payload([3, 8], 1, [nodes])))
+
+
+def _assert_draws_equal_choice(d, seeds, draws):
+    """_CandidateDraws against np.sort(rng.choice(d, m, replace=False))
+    after bootstraps of odd and even length; returns the has_uint32
+    flags seen when the draws began."""
+    m = math.ceil(math.sqrt(d))
+    buffered = set()
+    for seed in seeds:
+        for boot in (101, 100):
+            expected_rng = np.random.default_rng(seed)
+            expected_rng.integers(0, 1000, size=boot)
+            expected = [np.sort(expected_rng.choice(d, m, replace=False)) for _ in range(draws)]
+            rng = np.random.default_rng(seed)
+            rng.integers(0, 1000, size=boot)
+            buffered.add(rng.bit_generator.state["has_uint32"])
+            candidates = _CandidateDraws(rng, d)
+            got = [candidates.draw() for _ in range(draws)]
+            assert np.array_equal(np.array(got), np.array(expected)), (d, seed, boot)
+    return buffered
+
+
+def test_candidate_draws_equal_generator_choice():
+    # 14 small widths x 40 seeds x 2 bootstraps x 900 draws = 1,008,000
+    # draws, plus a wide one where numpy still uses Floyd's sampling.
+    buffered = set()
+    for d in [*range(1, 13), 33, 100]:
+        buffered |= _assert_draws_equal_choice(d, range(40), 900)
+    buffered |= _assert_draws_equal_choice(10_001, range(4), 100)
+    assert buffered == {0, 1}
+
+
+def test_candidate_draws_equal_generator_choice_under_frequent_rejection():
+    # Every bound j + 1 lies near 3 * 2**30, where 2**32 % (j + 1) is
+    # about 2**30: Lemire's method redraws about a quarter of the time.
+    assert _assert_draws_equal_choice(3 * 2**30, range(2), 2) == {0, 1}
+
+
+def test_candidate_draws_need_fewer_than_2_to_the_32_features():
+    with pytest.raises(ValidationError, match="fewer than 2\\*\\*32 features"):
+        _CandidateDraws(np.random.default_rng(0), 2**32)

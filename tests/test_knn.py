@@ -169,6 +169,28 @@ def test_vote_matrix_equals_brute_force_on_tie_grids(case):
     assert (got.sum(axis=1) == k).all()
 
 
+@pytest.mark.parametrize("block_pairs", [None, 5 * 114])
+def test_more_tied_rows_than_one_query_asks_for(monkeypatch, block_pairs):
+    # 64 copies of one row tie at the k-th distance, so a k + 1 = 4 row
+    # query is incomplete; the list doubles through 8, 16, 32 and 64
+    # rows, all still inside the radius, and then takes all 114.
+    rng = np.random.default_rng(10)
+    train_x = np.vstack([np.zeros((64, 2)), rng.uniform(5, 9, size=(50, 2))])
+    train_y = rng.integers(0, 3, size=114)
+    queries = np.vstack([np.zeros((3, 2)), [[0.1, 0.0]], rng.uniform(0, 9, size=(6, 2))])
+    if block_pairs is not None:
+        monkeypatch.setattr(knn_module, "_BLOCK_PAIRS", block_pairs)
+    model = KnnModel(train=_matrix(train_x, train_y), k=3)
+    np.testing.assert_array_equal(
+        _vote_matrix(model, _matrix(queries)), brute_force_votes(model, _matrix(queries))
+    )
+    from scipy.spatial import cKDTree
+
+    row, idx = knn_module._candidates(cKDTree(train_x), queries[:4], 3)
+    assert np.bincount(row).tolist() == [64] * 4
+    assert set(idx.tolist()) == set(range(64))
+
+
 def _huge_grid(scale):
     rng = np.random.default_rng(8)
     train_x = rng.integers(-2, 3, size=(80, 3)) * scale
