@@ -17,12 +17,13 @@ chunk's centers against the cloud's tree) returns every (center,
 neighbor) pair as two integer arrays, with the same d^2 <= r^2 test as
 a linear scan and no Python object per pair; each pair is coded by
 octant one axis at a time and the codes are bincounted. The pair query
-runs without the interpreter lock, so chunks spread over `threads`
-workers. A larger radius covers the whole cloud, and a center's octant
-counts are then 3-D dominance counts: with L_S the number of points
-whose coordinates on every axis in S are <= the center's, octant 0
-holds L_xyz points and the other seven follow by inclusion-exclusion
-over L_x, L_y, L_z, L_xy, L_xz, L_yz and L_xyz. Every "<=" count is a
+runs without the interpreter lock, so every chunk goes through one
+thread pool of `threads` workers, a single worker included. A larger
+radius covers the whole cloud, and a center's octant counts are then
+3-D dominance counts: with L_S the number of points whose coordinates
+on every axis in S are <= the center's, octant 0 holds L_xyz points and
+the other seven follow by inclusion-exclusion over L_x, L_y, L_z, L_xy,
+L_xz, L_yz and L_xyz. Every "<=" count is a
 `searchsorted(side="right")` over sorted values, so a coordinate equal
 to the center's is counted as <= and goes left, as in the definition.
 The 2-D and 3-D counts split each prefix of a sorted order into aligned
@@ -32,7 +33,9 @@ single-threaded pass. Both regimes yield (n, 8) counts that one
 finishing step turns into coefficients. The reference is the paper's
 definition in `prodcoef.dyadic`: `DyadicTree.from_leaf_masses` of a
 neighborhood's octant counts, then `coefficients_from_measure`. The
-tests build their oracle from it and compare bit for bit.
+tests build their oracle from it and compare bit for bit. Last, every
+column is min-max rescaled by `prodcoef.matrix.rescale_unit_columns`,
+the same function that normalizes a cloud per axis.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .matrix import FeatureMatrix
+from .matrix import FeatureMatrix, rescale_unit_columns
 from .pointcloud import PointCloud
 from .workers import worker_count
 
@@ -100,18 +103,13 @@ class SpatialIndex:
         close in space."""
         return self._tree.indices
 
-    def query_radius(self, center, radius: float) -> np.ndarray:
-        """Neighbor ids of one center, sorted ascending."""
-        ids = self._tree.query_ball_point(np.asarray(center, dtype=np.float64), radius)
-        return np.sort(np.asarray(ids, dtype=np.int64))
-
     def radius_pairs(self, ids: np.ndarray, radius: float):
         """Every (k, j) with point j within radius of point ids[k], from one
         kd-tree pair query.
 
         Returns (k, j) as two equal-length integer arrays in no fixed
-        order; the j of one k form the set query_radius(point ids[k])
-        finds.
+        order; the j of one k are exactly the points a linear scan
+        accepts around point ids[k].
         """
         from scipy.spatial import cKDTree
 
@@ -254,19 +252,6 @@ def _finish_octant_counts(counts: np.ndarray, include_center: bool):
     return counts.sum(axis=1), _coefficients_from_octant_counts(counts)
 
 
-def _rescale_unit_columns(values: np.ndarray) -> np.ndarray:
-    """Min-max each column onto [0,1]; constant columns become 0.5."""
-    mins = values.min(axis=0)
-    maxs = values.max(axis=0)
-    out = np.empty_like(values)
-    for col in range(values.shape[1]):
-        if maxs[col] == mins[col]:
-            out[:, col] = 0.5
-        else:
-            out[:, col] = (values[:, col] - mins[col]) / (maxs[col] - mins[col])
-    return out
-
-
 def extract_features(cloud: PointCloud, spec: NeighborhoodSpec | None = None,
                      threads: int = 1) -> FeatureMatrix:
     """One 10-column feature row per point, in cloud order.
@@ -302,15 +287,9 @@ def extract_features(cloud: PointCloud, spec: NeighborhoodSpec | None = None,
 
         order = index.leaf_order
         chunks = [order[lo:lo + _RADIUS_CHUNK] for lo in range(0, n, _RADIUS_CHUNK)]
-        threads = worker_count(threads, len(chunks))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(worker, ids) for ids in chunks]
-                for future in futures:
-                    future.result()
-        else:
-            for ids in chunks:
-                worker(ids)
+        with ThreadPoolExecutor(worker_count(threads, len(chunks))) as pool:
+            for _ in pool.map(worker, chunks):
+                pass  # reading each result re-raises a worker's exception
 
     log.info("neighborhood sizes: min %d, median %s, max %d",
              sizes.min(), float(np.median(sizes)), sizes.max())
@@ -323,7 +302,7 @@ def extract_features(cloud: PointCloud, spec: NeighborhoodSpec | None = None,
         )
 
     return FeatureMatrix(
-        values=_rescale_unit_columns(raw),
+        values=rescale_unit_columns(raw, raw.min(axis=0), raw.max(axis=0)),
         column_names=FEATURE_COLUMNS,
         labels=cloud.labels,
     )

@@ -103,7 +103,7 @@ def write_feature_csv(matrix: FeatureMatrix, path) -> None:
             handle.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
 
-def parse_label(cell: str, path, row_num: int) -> int:
+def _parse_label(cell: str, path, row_num: int) -> int:
     """Integer class code of a CSV cell; `3` and `3.0` both read as 3.
 
     Anything that is not a finite whole number inside int64 is a
@@ -126,15 +126,48 @@ def parse_label(cell: str, path, row_num: int) -> int:
     return label
 
 
-def check_finite_rows(values: np.ndarray, row_nums: list[int], path, what: str) -> None:
-    """FormatError naming the first row of `values` with a NaN or infinity.
+def _parse_rows(rows, first_row: int, path, n_values: int, has_label: bool, what: str):
+    """(values, labels) of the CSV rows after a header; `rows` yields
+    file row `first_row` first.
 
-    `row_nums[i]` is the file row that `values[i]` was parsed from.
+    An empty row, or one whose only cell is whitespace, is skipped. Every
+    other row holds `n_values` floats, then an integer label when
+    `has_label`. A row of another width, a cell that is not a number,
+    a NaN or infinity, or a bad label is a FormatError naming the file
+    row; `what` names the value columns in the message.
     """
-    finite = np.isfinite(values).all(axis=1)
+    width = n_values + has_label
+    values: list[tuple[float, ...]] = []
+    row_nums: list[int] = []
+    labels: list[int] = []
+    for row_num, row in enumerate(rows, start=first_row):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != width:
+            raise FormatError(f"{path} row {row_num}: expected {width} fields, got {len(row)}")
+        try:
+            values.append(tuple(map(float, row[:n_values])))
+        except ValueError:
+            raise FormatError(f"{path} row {row_num}: non-numeric {what}") from None
+        row_nums.append(row_num)
+        if has_label:
+            labels.append(_parse_label(row[-1], path, row_num))
+    table = np.array(values, dtype=np.float64).reshape(len(values), n_values)
+    finite = np.isfinite(table).all(axis=1)
     if not finite.all():
-        first = int(np.argmin(finite))
-        raise FormatError(f"{path} row {row_nums[first]}: non-finite {what}")
+        raise FormatError(f"{path} row {row_nums[int(np.argmin(finite))]}: non-finite {what}")
+    return table, np.array(labels, dtype=np.int64) if has_label else None
+
+
+def rescale_unit_columns(values: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
+    """Min-max each column onto [0,1] as (v - min) / (max - min), given
+    the columns' finite `mins` and `maxs`; a constant column becomes 0.5."""
+    span = maxs - mins
+    constant = span == 0.0
+    out = values - mins
+    out /= np.where(constant, 1.0, span)
+    out[:, constant] = 0.5
+    return out
 
 
 @contextmanager
@@ -159,8 +192,9 @@ def csv_rows(path):
 def read_feature_csv(path) -> FeatureMatrix:
     """Read a feature CSV written by `write_feature_csv`.
 
-    A trailing `label` column, when present in the header, is parsed as
-    the integer label vector.
+    The header names the columns; a trailing `label` column, when
+    present, is parsed as the integer label vector. Rows follow
+    `_parse_rows`, and errors count the header as row 1.
     """
     with csv_rows(path) as reader:
         try:
@@ -171,28 +205,5 @@ def read_feature_csv(path) -> FeatureMatrix:
         names = tuple(header[:-1] if has_label else header)
         if not names:
             raise FormatError(f"{path}: header has no feature columns")
-        width = len(header)
-        rows: list[list[float]] = []
-        row_nums: list[int] = []
-        labels: list[int] = []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise FormatError(
-                    f"{path} row {row_num}: expected {width} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(c) for c in row[: len(names)]])
-            except ValueError:
-                raise FormatError(f"{path} row {row_num}: non-numeric value") from None
-            row_nums.append(row_num)
-            if has_label:
-                labels.append(parse_label(row[-1], path, row_num))
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
-    check_finite_rows(values, row_nums, path, "feature value")
-    return FeatureMatrix(
-        values=values,
-        column_names=names,
-        labels=np.array(labels, dtype=np.int64) if has_label else None,
-    )
+        values, labels = _parse_rows(reader, 2, path, len(names), has_label, "feature value")
+    return FeatureMatrix(values=values, column_names=names, labels=labels)

@@ -1,13 +1,18 @@
-"""Point cloud container, CSV ingest, and unit-cube normalization."""
+"""Point cloud container, CSV ingest, and unit-cube normalization.
+
+Point CSVs share the feature CSV's on-disk format and its row parser in
+`prodcoef.matrix`; only the optional header is particular to points.
+"""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
-from .matrix import FeatureMatrix, check_finite_rows, csv_rows, parse_label, write_feature_csv
+from .errors import ValidationError
+from .matrix import FeatureMatrix, _parse_rows, csv_rows, rescale_unit_columns, write_feature_csv
 
 NORMALIZE_MODES = ("per-axis", "uniform")
 XYZ_COLUMNS = ("x", "y", "z")
@@ -70,7 +75,9 @@ def normalize_unit_cube(cloud: PointCloud, mode: str = "per-axis") -> PointCloud
 
     `per-axis` maps each axis min/max onto 0/1 independently; `uniform`
     divides every axis by the largest span, preserving aspect ratio. An
-    axis with zero span maps to the constant 0.5. Point order is kept.
+    axis with zero span maps to the constant 0.5 (per-axis) or 0
+    (uniform, unless every span is zero). An axis whose span overflows
+    float64 is a ValidationError. Point order is kept.
     """
     if len(cloud) == 0:
         raise ValidationError("cannot normalize an empty point cloud")
@@ -81,21 +88,21 @@ def normalize_unit_cube(cloud: PointCloud, mode: str = "per-axis") -> PointCloud
 
     mins = cloud.xyz.min(axis=0)
     maxs = cloud.xyz.max(axis=0)
-    span = maxs - mins
+    with np.errstate(over="ignore"):
+        span = maxs - mins
+    wide = np.flatnonzero(~np.isfinite(span))
+    if len(wide):
+        axis = wide[0]
+        raise ValidationError(
+            f"axis {XYZ_COLUMNS[axis]} spans min {float(mins[axis])!r} to max "
+            f"{float(maxs[axis])!r}, a range beyond float64; cannot normalize"
+        )
 
-    out = np.empty_like(cloud.xyz)
     if mode == "per-axis":
-        for axis in range(3):
-            if span[axis] == 0.0:
-                out[:, axis] = 0.5
-            else:
-                out[:, axis] = (cloud.xyz[:, axis] - mins[axis]) / span[axis]
+        out = rescale_unit_columns(cloud.xyz, mins, maxs)
     else:
         scale = span.max()
-        if scale == 0.0:
-            out[:] = 0.5
-        else:
-            out[:] = (cloud.xyz - mins) / scale
+        out = np.full_like(cloud.xyz, 0.5) if scale == 0.0 else (cloud.xyz - mins) / scale
 
     return PointCloud(
         xyz=out,
@@ -110,42 +117,20 @@ def read_csv(path, has_label: bool = False) -> PointCloud:
     """Read a `x,y,z[,label]` CSV file into a point cloud.
 
     A header row is auto-detected: if the first row does not parse as
-    numbers it is skipped. Errors carry 1-based row numbers that count
-    the header.
+    numbers it is skipped. Rows follow the feature CSV's row rules
+    (`prodcoef.matrix._parse_rows`), and errors carry 1-based row
+    numbers that count the header.
     """
-    expected = 4 if has_label else 3
-    coords: list[tuple[float, float, float]] = []
-    row_nums: list[int] = []
-    labels: list[int] = []
     with csv_rows(path) as reader:
-        for row_num, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if row_num == 1:
-                try:
-                    [float(cell) for cell in row]
-                except ValueError:
-                    continue  # header row
-            if len(row) != expected:
-                raise FormatError(
-                    f"{path} row {row_num}: expected {expected} fields, got {len(row)}"
-                )
-            try:
-                coords.append(tuple(map(float, row[:3])))
-            except ValueError:
-                raise FormatError(f"{path} row {row_num}: non-numeric coordinate") from None
-            row_nums.append(row_num)
-            if has_label:
-                labels.append(parse_label(row[3], path, row_num))
-
-    xyz = np.array(coords, dtype=np.float64).reshape(len(coords), 3)
-    check_finite_rows(xyz, row_nums, path, "coordinate")
-    return PointCloud(
-        xyz=xyz,
-        labels=np.array(labels, dtype=np.int64) if has_label else None,
-        source=str(path),
-        normalized=False,
-    )
+        first = next(reader, [])
+        try:
+            [float(cell) for cell in first]
+        except ValueError:
+            rows, first_row = reader, 2  # header row
+        else:
+            rows, first_row = itertools.chain([first], reader), 1
+        xyz, labels = _parse_rows(rows, first_row, path, 3, has_label, "coordinate")
+    return PointCloud(xyz=xyz, labels=labels, source=str(path), normalized=False)
 
 
 def write_csv(cloud: PointCloud, path) -> None:

@@ -219,10 +219,8 @@ def test_criterion_07_macro_f1_hand_fixture():
 def test_criterion_08_pipeline_improvement_on_synthetic_scene():
     started = time.perf_counter()
     cloud = normalize_unit_cube(generate_scene(SCENE))
-    index = SpatialIndex(cloud.xyz)
-    neighborhood_sizes = [
-        len(index.query_radius(p, SCENE_RADIUS)) for p in cloud.xyz
-    ]
+    rows, _ = SpatialIndex(cloud.xyz).radius_pairs(np.arange(len(cloud)), SCENE_RADIUS)
+    neighborhood_sizes = np.bincount(rows, minlength=len(cloud))
     median_size = float(np.median(neighborhood_sizes))
     assert 35 <= median_size <= 70, f"median neighborhood {median_size}"
 

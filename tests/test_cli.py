@@ -76,6 +76,18 @@ def test_bad_label_gives_io_exit(tmp_path, capsys):
     assert "row 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["per-axis", "uniform"])
+def test_overflowing_span_gives_validation_exit(tmp_path, capsys, mode):
+    # Both points are finite, but x spans 2e308, beyond float64.
+    huge = tmp_path / "huge.csv"
+    huge.write_text("1e308,0,0\n-1e308,1,1\n")
+    assert main([
+        "features", "--input", str(huge), "--normalize", mode,
+        "--out-dir", str(tmp_path / "o"),
+    ]) == 1
+    assert "axis x spans min -1e+308 to max 1e+308" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("row", ["0.5,99999999999999999999", "nan,1"])
 def test_bad_feature_file_gives_io_exit(tmp_path, capsys, row):
     bad = tmp_path / "features.csv"

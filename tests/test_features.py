@@ -91,48 +91,46 @@ def assert_features_equal_naive_scan(cloud, spec, threads_list=(1, 2, 3)):
     return empty
 
 
+def pair_neighbor_lists(index, ids, radius):
+    """The neighbor ids radius_pairs finds around each point ids[k], each
+    list sorted ascending."""
+    rows, neighbors = index.radius_pairs(ids, radius)
+    assert rows.shape == neighbors.shape
+    assert ((rows >= 0) & (rows < len(ids))).all()
+    return [np.sort(neighbors[rows == k]) for k in range(len(ids))]
+
+
 class TestRadiusNeighbors:
     def test_collinear_points(self):
-        pts = np.array([[0, 0, 0], [0.3, 0, 0], [0.9, 0, 0]])
-        index = SpatialIndex(pts)
-        assert index.query_radius(pts[0], 0.5).tolist() == [0, 1]
+        # Point 2 sits exactly on the sphere around point 0 (d^2 == r^2).
+        pts = np.array([[0, 0, 0], [0.3, 0, 0], [0.5, 0, 0], [0.9, 0, 0]])
+        got = pair_neighbor_lists(SpatialIndex(pts), np.arange(4), 0.5)
+        assert [ids.tolist() for ids in got] == [[0, 1, 2], [0, 1, 2], [0, 1, 2, 3], [2, 3]]
 
     def test_radius_two_covers_unit_cube(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(size=(40, 3))
-        index = SpatialIndex(pts)
-        for center in pts[:5]:
-            assert index.query_radius(center, 2.0).tolist() == list(range(40))
+        for ids in pair_neighbor_lists(SpatialIndex(pts), np.arange(5), 2.0):
+            assert ids.tolist() == list(range(40))
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(size=(500, 3))
         index = SpatialIndex(pts)
-        for _ in range(50):
-            center = rng.uniform(size=3)
+        for _ in range(10):
+            ids = rng.permutation(500)[:20]
             radius = rng.uniform(0.01, 0.9)
-            got = index.query_radius(center, radius)
-            expected = naive_radius_neighbors(pts, center, radius)
-            np.testing.assert_array_equal(got, expected)
-
-    def test_result_sorted_ascending(self):
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(size=(100, 3))
-        index = SpatialIndex(pts)
-        ids = index.query_radius(pts[17], 0.4)
-        assert (np.diff(ids) > 0).all()
+            for center, got in zip(ids, pair_neighbor_lists(index, ids, radius)):
+                np.testing.assert_array_equal(
+                    got, naive_radius_neighbors(pts, pts[center], radius))
 
     def test_many_centers_match_single_queries(self):
         rng = np.random.default_rng(12)
         pts = rng.uniform(size=(300, 3))
-        index = SpatialIndex(pts)
         ids = rng.permutation(300)[:40]
-        rows, neighbors = index.radius_pairs(ids, 0.2)
-        assert rows.shape == neighbors.shape
-        assert ((rows >= 0) & (rows < 40)).all()
+        got = pair_neighbor_lists(SpatialIndex(pts), ids, 0.2)
         for k in range(40):
-            got = np.sort(neighbors[rows == k])
-            np.testing.assert_array_equal(got, index.query_radius(pts[ids[k]], 0.2))
+            np.testing.assert_array_equal(got[k], naive_radius_neighbors(pts, pts[ids[k]], 0.2))
 
     def test_leaf_order_is_a_permutation(self):
         rng = np.random.default_rng(15)

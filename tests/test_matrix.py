@@ -3,6 +3,7 @@ import pytest
 
 from prodcoef.errors import FormatError, ValidationError
 from prodcoef.matrix import FeatureMatrix, read_feature_csv, write_feature_csv
+from prodcoef.pointcloud import read_csv
 
 
 def test_basic_shape_and_names():
@@ -142,3 +143,26 @@ def test_csv_labels_parse_like_point_csv(tmp_path):
         "a,label\n0.1,3.0\n0.2,-4.0\n0.3,-9223372036854775808\n0.4,9223372036854775807\n"
     )
     assert read_feature_csv(path).labels.tolist() == [3, -4, -2**63, 2**63 - 1]
+
+
+@pytest.mark.parametrize("body, bad_row", [
+    ("0.1,0.2,0.3,1\n0.3,0.4,0.5,2\n", None),
+    ("0.1,0.2,0.3,1\n   \n0.3,0.4,0.5,2\n", None),
+    ("0.1,0.2,0.3,1\n   \n0.3,0.4,2\n", 4),
+    ("0.1,0.2,0.3,1\n0.3,oops,0.5,2\n", 3),
+    ("0.1,0.2,0.3,1\nnan,0.4,0.5,2\n", 3),
+    ("0.1,0.2,0.3,1\n0.3,0.4,0.5,1e30\n", 3),
+], ids=["plain", "whitespace-only line", "ragged row after whitespace line",
+        "non-numeric cell", "NaN", "1e30 label"])
+def test_point_and_feature_readers_share_row_rules(tmp_path, body, bad_row):
+    path = tmp_path / "p.csv"
+    path.write_text("x,y,z,label\n" + body)
+    if bad_row is None:
+        cloud, matrix = read_csv(path, has_label=True), read_feature_csv(path)
+        np.testing.assert_array_equal(cloud.xyz, matrix.values)
+        np.testing.assert_array_equal(cloud.labels, matrix.labels)
+        assert len(cloud) == 2
+        return
+    for read in (lambda: read_csv(path, has_label=True), lambda: read_feature_csv(path)):
+        with pytest.raises(FormatError, match=f"p.csv row {bad_row}: "):
+            read()
