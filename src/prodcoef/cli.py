@@ -6,11 +6,13 @@ and the one-shot `run` command produce byte-identical files. Manifests
 record file basenames, never absolute paths, and never the thread
 count (threads must not affect results).
 
-`--threads` sets the workers of the two parallel steps: threads for
-the kd-tree pair queries of radius neighborhoods in `features`, and
-forked processes for the cross-validation folds in `evaluate` (POSIX
-fork; each worker process holds one fold's model at a time). 0 means
-one per CPU; the default 1 runs everything in this process.
+`--threads` sets the workers of the three parallel steps: in
+`features`, threads for the kd-tree pair queries of radius
+neighborhoods and threads for the pieces of the whole-cloud count at a
+radius of sqrt(3) or more; in `evaluate`, forked processes for the
+cross-validation folds (POSIX fork; each worker process holds one
+fold's model at a time). 0 means one per CPU; the default 1 runs
+everything in this thread.
 
 Exit codes: 0 success, 1 validation, 2 I/O or format, 3 data
 consistency.
@@ -391,7 +393,8 @@ def _add_common(parser: _Parser) -> None:
     parser.add_argument("--out-dir", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
                         help="workers: threads for the radius neighborhoods' "
-                             "kd-tree pair queries, forked processes for "
+                             "kd-tree pair queries and for the whole-cloud "
+                             "count's pieces, forked processes for "
                              "cross-validation folds; 0 = auto; never changes "
                              "results")
 

@@ -16,9 +16,7 @@ close together. One kd-tree pair query per chunk (a small tree over the
 chunk's centers against the cloud's tree) returns every (center,
 neighbor) pair as two integer arrays, with the same d^2 <= r^2 test as
 a linear scan and no Python object per pair; each pair is coded by
-octant one axis at a time and the codes are bincounted. The pair query
-runs without the interpreter lock, so every chunk goes through one
-thread pool of `threads` workers, a single worker included. A larger
+octant one axis at a time and the codes are bincounted. A larger
 radius covers the whole cloud, and a center's octant counts are then
 3-D dominance counts: with L_S the number of points whose coordinates
 on every axis in S are <= the center's, octant 0 holds L_xyz points and
@@ -28,9 +26,13 @@ L_xz, L_yz and L_xyz. Every "<=" count is a
 to the center's is counted as <= and goes left, as in the definition.
 The 2-D and 3-D counts split each prefix of a sorted order into aligned
 power-of-two blocks (Bentley, "Multidimensional divide-and-conquer",
-CACM 1980), which takes O(n log^2 n) time for the whole cloud in one
-single-threaded pass. Both regimes yield (n, 8) counts that one
-finishing step turns into coefficients. The reference is the paper's
+CACM 1980), which takes O(n log^2 n) time for the whole cloud. Both
+regimes split into independent tasks, radius chunks or the whole
+cloud's axes, 2-D counts and block levels, whose numpy and kd-tree
+calls run mostly without the interpreter lock; one dispatch runs them
+on `threads` worker threads, or in the calling thread when that is
+one. Both yield (n, 8) counts that one finishing step turns into
+coefficients. The reference is the paper's
 definition in `prodcoef.dyadic`: `DyadicTree.from_leaf_masses` of a
 neighborhood's octant counts, then `coefficients_from_measure`. The
 tests build their oracle from it and compare bit for bit. Last, every
@@ -42,8 +44,10 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -189,7 +193,46 @@ def _counts_in_aligned_blocks(stored: np.ndarray, block: np.ndarray, length: np.
     return counts
 
 
-def _octant_counts_whole_cloud(xyz: np.ndarray) -> np.ndarray:
+def _map_tasks(fn, tasks, threads: int) -> list:
+    """[fn(task) for task in tasks], run on a pool of
+    worker_count(threads, len(tasks)) threads, or in this thread when
+    that count is 1. A task's exception is raised here."""
+    workers = worker_count(threads, len(tasks))
+    if workers == 1:
+        return [fn(task) for task in tasks]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _axis_counts(xyz: np.ndarray, axis: int):
+    """Per point, how many points are <= it on `axis`, and for x and y
+    (not z) the point ids ordered by that count."""
+    column = xyz[:, axis]
+    le = np.searchsorted(np.sort(column), column, side="right")
+    return le, np.argsort(le) if axis < 2 else None
+
+
+def _xy_level_counts(lx: np.ndarray, y_by_x: np.ndarray, z_by_x: np.ndarray,
+                     rank: np.ndarray, level: int):
+    """(hit, L_xy part, L_xyz part): the points whose x prefix holds an
+    aligned block of 2**level points in x order, and how many of that
+    block's points are <= each of them on y, and on y and z."""
+    # Block (lx >> level) - 1 of 2**level points in x order is part of
+    # the center's x prefix when that bit of lx is set.
+    hit = np.flatnonzero((lx >> level) & 1)
+    if len(hit) == 0:
+        return hit, hit, hit
+    n = len(lx)
+    block = (lx[hit] >> level) - 1
+    keys = (np.arange(n) >> level) * n + y_by_x
+    by_block_y = np.argsort(keys)
+    below = np.searchsorted(keys[by_block_y], block * n + rank[1, hit],
+                            side="right") - (block << level)
+    return hit, below, _counts_in_aligned_blocks(z_by_x[by_block_y], block, below,
+                                                 rank[2, hit], level)
+
+
+def _octant_counts_whole_cloud(xyz: np.ndarray, threads: int = 1) -> np.ndarray:
     """(n, 8) octant counts of every point over the whole cloud.
 
     L_S[i] is the number of points j with xyz[j, a] <= xyz[i, a] on every
@@ -197,39 +240,35 @@ def _octant_counts_whole_cloud(xyz: np.ndarray) -> np.ndarray:
     L_xz and L_yz count z-ranks within a prefix of the x (y) order;
     L_xy and L_xyz walk the aligned blocks of the x prefix, sort each
     block by y, count its y-ranks <= the center's and, within those,
-    its z-ranks.
+    its z-ranks. The three axes, then L_xz, L_yz and each block level
+    are independent pieces on `threads` workers; each level adds its
+    integer counts as it finishes, so their order changes no bit and at
+    most `threads` levels' temporaries are alive.
     """
     n = len(xyz)
     top = max(n - 1, 1).bit_length()  # 2**top >= n
-    le = np.empty((3, n), dtype=np.int64)
-    for axis in range(3):
-        le[axis] = np.searchsorted(np.sort(xyz[:, axis]), xyz[:, axis], side="right")
-    lx, ly, lz = le
-    rank = le - 1  # equal coordinates share a rank
-    by_x = np.argsort(lx)
-    by_y = np.argsort(ly)
+    (lx, by_x), (ly, by_y), (lz, _) = _map_tasks(partial(_axis_counts, xyz), range(3),
+                                                 threads)
+    rank = np.stack([lx, ly, lz]) - 1  # equal coordinates share a rank
+    y_by_x, z_by_x = rank[1:, by_x]
     zeros = np.zeros(n, dtype=np.int64)
-    lxz = _counts_in_aligned_blocks(rank[2, by_x], zeros, lx, rank[2], top)
-    lyz = _counts_in_aligned_blocks(rank[2, by_y], zeros, ly, rank[2], top)
+    lxy, lxz, lyz, lxyz = np.zeros((4, n), dtype=np.int64)
+    lock = threading.Lock()
 
-    lxy = np.zeros(n, dtype=np.int64)
-    lxyz = np.zeros(n, dtype=np.int64)
-    position = np.arange(n)
-    y_by_x, z_by_x = rank[1, by_x], rank[2, by_x]
-    for level in range(top + 1):
-        # Block (lx >> level) - 1 of 2**level points in x order is part of
-        # the center's x prefix when that bit of lx is set.
-        hit = np.flatnonzero((lx >> level) & 1)
-        if len(hit) == 0:
-            continue
-        block = (lx[hit] >> level) - 1
-        keys = (position >> level) * n + y_by_x
-        by_block_y = np.argsort(keys)
-        below = np.searchsorted(keys[by_block_y], block * n + rank[1, hit],
-                                side="right") - (block << level)
-        lxy[hit] += below
-        lxyz[hit] += _counts_in_aligned_blocks(z_by_x[by_block_y], block, below,
-                                               rank[2, hit], level)
+    def add_piece(piece):
+        if piece == "xz":
+            lxz[:] = _counts_in_aligned_blocks(z_by_x, zeros, lx, rank[2], top)
+        elif piece == "yz":
+            lyz[:] = _counts_in_aligned_blocks(rank[2, by_y], zeros, ly, rank[2], top)
+        else:
+            hit, below, within = _xy_level_counts(lx, y_by_x, z_by_x, rank, piece)
+            with lock:  # a point takes counts from several levels
+                lxy[hit] += below
+                lxyz[hit] += within
+
+    # The costliest pieces first: L_xz and L_yz, then level l, which
+    # sorts the whole cloud l + 2 times.
+    _map_tasks(add_piece, ["xz", "yz", *range(top, -1, -1)], threads)
 
     counts = np.empty((n, 8), dtype=np.int64)
     counts[:, 0] = lxyz
@@ -259,9 +298,9 @@ def extract_features(cloud: PointCloud, spec: NeighborhoodSpec | None = None,
     Columns are x, y, z and the seven neighborhood coefficients in
     level order; after assembly every column is min-max rescaled onto
     [0,1] (constant columns become 0.5). `threads` workers share the
-    radius neighborhoods' row chunks; a whole-cloud radius runs one
-    single-threaded pass. Rows are computed independently, so the
-    thread count never changes the result. The minimum, median and
+    radius neighborhoods' row chunks or the whole-cloud count's pieces;
+    every row's counts are exact integers however the work is split, so
+    the thread count never changes the result. The minimum, median and
     maximum neighborhood size are logged at INFO.
     """
     spec = spec or NeighborhoodSpec()
@@ -275,7 +314,7 @@ def extract_features(cloud: PointCloud, spec: NeighborhoodSpec | None = None,
     raw = np.empty((n, 10), dtype=np.float64)
     raw[:, :3] = xyz
     if spec.radius >= _FULL_CLOUD_RADIUS:
-        sizes, raw[:, 3:] = _finish_octant_counts(_octant_counts_whole_cloud(xyz),
+        sizes, raw[:, 3:] = _finish_octant_counts(_octant_counts_whole_cloud(xyz, threads),
                                                   spec.include_center)
     else:
         index = SpatialIndex(xyz)
@@ -287,9 +326,7 @@ def extract_features(cloud: PointCloud, spec: NeighborhoodSpec | None = None,
 
         order = index.leaf_order
         chunks = [order[lo:lo + _RADIUS_CHUNK] for lo in range(0, n, _RADIUS_CHUNK)]
-        with ThreadPoolExecutor(worker_count(threads, len(chunks))) as pool:
-            for _ in pool.map(worker, chunks):
-                pass  # reading each result re-raises a worker's exception
+        _map_tasks(worker, chunks, threads)
 
     log.info("neighborhood sizes: min %d, median %s, max %d",
              sizes.min(), float(np.median(sizes)), sizes.max())

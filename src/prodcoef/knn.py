@@ -15,9 +15,11 @@ row). So distance ties resolve to the lower training-row index exactly
 as a stable sort of all distances would, and vote ties to the smallest
 class code.
 
-Queries run in blocks of _BLOCK_PAIRS // n_train rows. A query has at
-most n_train candidates, so one block holds at most _BLOCK_PAIRS
-candidate pairs.
+Queries run in steps at one width each, k + 1 first and then doubled:
+a step asks _BLOCK_PAIRS // width rows for their width nearest rows,
+so it holds at most _BLOCK_PAIRS candidate pairs (or one query's
+width, when that alone is more). Only the few queries with distance
+ties at the k-th row reach the wider steps.
 
 Squared distances must stay finite: when the squared column spans over
 training and query rows sum to more than the largest float, the
@@ -34,7 +36,10 @@ import numpy as np
 from .errors import ValidationError
 from .matrix import FeatureMatrix
 
-_BLOCK_PAIRS = 4_000_000
+# Candidate pairs per step. A pair's temporaries take about 220 bytes at
+# ten columns, so a full step stays near 7 MB; on a 222,056-row
+# ten-column fold, steps of 2**15 to 2**17 pairs predicted equally fast.
+_BLOCK_PAIRS = 1 << 15
 
 # cKDTree sums the squared differences in its own order, so its
 # distances can differ from the direct formula's in the last bits. The
@@ -93,43 +98,43 @@ def _vote_matrix(model: KnnModel, queries: FeatureMatrix) -> np.ndarray:
 
     tree = cKDTree(T)
     votes = np.zeros((queries.n_rows, len(classes)), dtype=np.int64)
-    block = max(1, _BLOCK_PAIRS // len(T))
-    for lo in range(0, queries.n_rows, block):
-        Q = queries.values[lo : lo + block]
-        row, idx = _candidates(tree, Q, k)
-        d2 = ((Q[row] - T[idx]) ** 2).sum(axis=-1)
+    for row, idx in _candidates(tree, queries.values, k):
+        d2 = ((queries.values[row] - T[idx]) ** 2).sum(axis=-1)
         order = np.lexsort((idx, d2, row))
-        # Sorting by row first keeps each query's candidates in one run
-        # that starts where the previous queries' candidates end.
-        counts = np.bincount(row, minlength=len(Q))
-        rank = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+        # row is sorted, and sorting by row first keeps each query's
+        # candidates in the same run; a candidate's rank is its place in it.
+        rank = np.arange(len(order)) - np.searchsorted(row, row)
         nearest = order[rank < k]
-        np.add.at(votes, (lo + row[nearest], positions[idx[nearest]]), 1)
+        np.add.at(votes, (row[nearest], positions[idx[nearest]]), 1)
     return votes
 
 
-def _candidates(tree, Q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(query row, training row) pairs: for each query, every training
-    row whose kd distance is at most r_k * (1 + _RADIUS_SLACK).
+def _candidates(tree, Q: np.ndarray, k: int):
+    """Yield (query row, training row) pairs, one step at a time: for
+    each query, every training row whose kd distance is at most
+    r_k * (1 + _RADIUS_SLACK), all in one step, sorted by query row.
 
     The k + 1 nearest rows hold that list when the last of them lies
     outside the radius. A query whose last row is still inside asks
-    again with twice as many rows, up to all of them."""
+    again with twice as many rows, up to all of them. Each step queries
+    _BLOCK_PAIRS // width rows at one width, so it holds at most
+    _BLOCK_PAIRS pairs unless one query's width alone exceeds that."""
     n_train = tree.n
-    rows, idx = [], []
     pending = np.arange(len(Q))
     width = min(k + 1, n_train)
-    while True:
-        dist, nbr = tree.query(Q[pending], k=width)
-        dist, nbr = dist.reshape(len(pending), width), nbr.reshape(len(pending), width)
-        inside = dist <= dist[:, k - 1 : k] * (1 + _RADIUS_SLACK)
-        done = ~inside[:, -1] | (width == n_train)
-        at, col = np.nonzero(inside[done])
-        rows.append(pending[done][at])
-        idx.append(nbr[done][at, col])
-        pending = pending[~done]
-        if not len(pending):
-            return np.concatenate(rows), np.concatenate(idx)
+    while len(pending):
+        block = max(1, _BLOCK_PAIRS // width)
+        unfinished = []
+        for lo in range(0, len(pending), block):
+            rows = pending[lo : lo + block]
+            dist, nbr = tree.query(Q[rows], k=width)
+            dist, nbr = dist.reshape(len(rows), width), nbr.reshape(len(rows), width)
+            inside = dist <= dist[:, k - 1 : k] * (1 + _RADIUS_SLACK)
+            done = ~inside[:, -1] | (width == n_train)
+            at, col = np.nonzero(inside[done])
+            unfinished.append(rows[~done])
+            yield rows[done][at], nbr[done][at, col]
+        pending = np.concatenate(unfinished)
         width = min(2 * width, n_train)
 
 

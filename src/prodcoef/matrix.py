@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -128,7 +129,8 @@ def _parse_label(cell: str, path, row_num: int) -> int:
 
 def _parse_rows(rows, first_row: int, path, n_values: int, has_label: bool, what: str):
     """(values, labels) of the CSV rows after a header; `rows` yields
-    file row `first_row` first.
+    file row `first_row` first. This is the reference reading, and the
+    one that names a bad row.
 
     An empty row, or one whose only cell is whitespace, is skipped. Every
     other row holds `n_values` floats, then an integer label when
@@ -159,6 +161,35 @@ def _parse_rows(rows, first_row: int, path, n_values: int, has_label: bool, what
     return table, np.array(labels, dtype=np.int64) if has_label else None
 
 
+def _load_rows(lines, n_values: int, has_label: bool):
+    """`_parse_rows`' (values, labels) of `lines` by one np.loadtxt call,
+    or None where that call could read them differently.
+
+    loadtxt splits the lines at commas and reads each cell with the
+    parser behind Python's float() and each label as a plain integer,
+    so a body it accepts reads as `_parse_rows` reads it. Everything it
+    refuses goes to `_parse_rows`: a quoted cell, a `3.0` or `1_0` cell,
+    a whitespace-only row, a row of another width, an empty body. So do
+    NaN or infinite values, and a line over the csv module's field
+    limit, which csv.reader may refuse.
+    """
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    dtype = [("values", np.float64, (n_values,))] + [("label", np.int64)] * has_label
+    with warnings.catch_warnings():
+        # An empty body warns and returns no rows; _parse_rows reads it.
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                               quotechar=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    values = table["values"]
+    if not np.isfinite(values).all():
+        return None
+    return values, table["label"] if has_label else None
+
+
 def rescale_unit_columns(values: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
     """Min-max each column onto [0,1] as (v - min) / (max - min), given
     the columns' finite `mins` and `maxs`; a constant column becomes 0.5."""
@@ -171,8 +202,8 @@ def rescale_unit_columns(values: np.ndarray, mins: np.ndarray, maxs: np.ndarray)
 
 
 @contextmanager
-def csv_rows(path):
-    """csv.reader over the file at `path`.
+def _open_csv(path):
+    """The text file at `path`, opened for csv.reader.
 
     A file that cannot be opened, cannot be decoded as text or breaks
     the CSV reader (a field over its size limit, say) is a FormatError
@@ -184,26 +215,59 @@ def csv_rows(path):
         raise FormatError(f"cannot open {path}: {exc}") from None
     with handle:
         try:
-            yield csv.reader(handle)
+            yield handle
         except (UnicodeDecodeError, csv.Error) as exc:
             raise FormatError(f"{path}: not a readable CSV file: {exc}") from None
+
+
+def _start_body(handle, layout):
+    """layout(first CSV record, or None in an empty file) -> (value
+    column names, has_label, file row of the first data row); leaves
+    `handle` at that row."""
+    names, has_label, first_row = layout(next(csv.reader(handle), None))
+    if first_row == 1:
+        handle.seek(0)
+    return names, has_label, first_row
+
+
+def read_numeric_csv(path, layout, what: str):
+    """(value column names, values, labels) of the numeric CSV at `path`,
+    whose header `layout` reads (see `_start_body`).
+
+    The rows are read by `_load_rows` and, where it declines, again
+    from the start of the file by `_parse_rows`, so every accepted file
+    gives the reference arrays and every rejected one its error; `what`
+    names the value columns in row errors.
+    """
+    with _open_csv(path) as handle:
+        names, has_label, first_row = _start_body(handle, layout)
+        try:
+            table = _load_rows(list(handle), len(names), has_label)
+        except UnicodeDecodeError:
+            table = None  # read again below, for the reference message
+    if table is None:
+        with _open_csv(path) as handle:
+            names, has_label, first_row = _start_body(handle, layout)
+            table = _parse_rows(csv.reader(handle), first_row, path, len(names),
+                                has_label, what)
+    return names, *table
 
 
 def read_feature_csv(path) -> FeatureMatrix:
     """Read a feature CSV written by `write_feature_csv`.
 
     The header names the columns; a trailing `label` column, when
-    present, is parsed as the integer label vector. Rows follow
-    `_parse_rows`, and errors count the header as row 1.
+    present, is parsed as the integer label vector. Rows are read by
+    `read_numeric_csv`, and errors count the header as row 1.
     """
-    with csv_rows(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty feature file") from None
+    def layout(header):
+        if header is None:
+            raise FormatError(f"{path}: empty feature file")
         has_label = bool(header) and header[-1] == LABEL_COLUMN
         names = tuple(header[:-1] if has_label else header)
         if not names:
             raise FormatError(f"{path}: header has no feature columns")
-        values, labels = _parse_rows(reader, 2, path, len(names), has_label, "feature value")
+        return names, has_label, 2
+
+    names, values, labels = read_numeric_csv(path, layout, "feature value")
     return FeatureMatrix(values=values, column_names=names, labels=labels)

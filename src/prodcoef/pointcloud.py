@@ -1,18 +1,17 @@
 """Point cloud container, CSV ingest, and unit-cube normalization.
 
-Point CSVs share the feature CSV's on-disk format and its row parser in
+Point CSVs share the feature CSV's on-disk format and its reader in
 `prodcoef.matrix`; only the optional header is particular to points.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .matrix import FeatureMatrix, _parse_rows, csv_rows, rescale_unit_columns, write_feature_csv
+from .matrix import FeatureMatrix, read_numeric_csv, rescale_unit_columns, write_feature_csv
 
 NORMALIZE_MODES = ("per-axis", "uniform")
 XYZ_COLUMNS = ("x", "y", "z")
@@ -118,18 +117,17 @@ def read_csv(path, has_label: bool = False) -> PointCloud:
 
     A header row is auto-detected: if the first row does not parse as
     numbers it is skipped. Rows follow the feature CSV's row rules
-    (`prodcoef.matrix._parse_rows`), and errors carry 1-based row
+    (`prodcoef.matrix.read_numeric_csv`), and errors carry 1-based row
     numbers that count the header.
     """
-    with csv_rows(path) as reader:
-        first = next(reader, [])
+    def layout(first):
         try:
-            [float(cell) for cell in first]
+            [float(cell) for cell in first or ()]
         except ValueError:
-            rows, first_row = reader, 2  # header row
-        else:
-            rows, first_row = itertools.chain([first], reader), 1
-        xyz, labels = _parse_rows(rows, first_row, path, 3, has_label, "coordinate")
+            return XYZ_COLUMNS, has_label, 2  # header row
+        return XYZ_COLUMNS, has_label, 1
+
+    _, xyz, labels = read_numeric_csv(path, layout, "coordinate")
     return PointCloud(xyz=xyz, labels=labels, source=str(path), normalized=False)
 
 

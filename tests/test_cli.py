@@ -113,6 +113,32 @@ def test_unreadable_csv_gives_io_exit(tmp_path, capsys, content, command):
     assert "bin.csv" in capsys.readouterr().err
 
 
+_FEATURE_HEADER = "x,y,z,a_s,a_ls,a_rs,a_lls,a_rls,a_lrs,a_rrs,label\n"
+
+
+@pytest.mark.parametrize("body", ["", "\n\n"], ids=["header only", "blank rows"])
+@pytest.mark.parametrize("command, header, error", [
+    ("ingest", "x,y,z,label\n", "cannot normalize an empty point cloud"),
+    ("features", "x,y,z,label\n", "cannot normalize an empty point cloud"),
+    ("evaluate", _FEATURE_HEADER, "0 rows cannot fill 5 folds"),
+], ids=["ingest", "features", "evaluate"])
+def test_csv_without_rows_fails_without_numpy_warning(tmp_path, body, command, header, error):
+    # np.loadtxt warns "input contained no data" on such a body; the
+    # readers keep that off stderr, which holds only the error line.
+    path = tmp_path / "in.csv"
+    path.write_text(header + body)
+    flag = "--features" if command == "evaluate" else "--input"
+    label = [] if command == "evaluate" else ["--has-label"]
+    env = dict(os.environ, PYTHONPATH=str(Path(prodcoef.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "prodcoef", command, flag, str(path), *label,
+         "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr == f"error: {error}\n"
+
+
 def test_corrupt_las_gives_consistency_exit(tmp_path):
     bad = tmp_path / "bad.las"
     bad.write_bytes(build_las(raw_xyz=[(i, i, i) for i in range(5)], declared_count=9))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prodcoef.features as features_module
 from prodcoef.errors import ValidationError
 from prodcoef.features import (
     _RADIUS_CHUNK,
@@ -329,6 +330,17 @@ class TestExtractFeatures:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("radius", [0.2, 2.0])
+    def test_one_thread_runs_inline(self, monkeypatch, radius):
+        # One worker needs no pool: both regimes then run in this thread.
+        rng = np.random.default_rng(12)
+        cloud = normalize_unit_cube(PointCloud(xyz=rng.uniform(size=(300, 3))))
+        spec = NeighborhoodSpec(radius=radius)
+        expected = extract_features(cloud, spec, threads=2)
+        monkeypatch.setattr(features_module, "ThreadPoolExecutor", None)
+        np.testing.assert_array_equal(extract_features(cloud, spec, threads=1).values,
+                                      expected.values)
+
     def test_single_point_without_center_errors(self):
         cloud = normalize_unit_cube(PointCloud(xyz=[[0, 0, 0], [5, 5, 5]]))
         tiny = NeighborhoodSpec(radius=1e-6, include_center=False)
@@ -428,6 +440,20 @@ class TestWholeCloudCounts:
         counts = _octant_counts_whole_cloud(xyz)
         assert counts.dtype == np.int64 and counts.shape == (len(xyz), 8)
         np.testing.assert_array_equal(counts, all_pairs_octant_counts(xyz))
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_threads_equal_all_pairs_oracle(self, threads):
+        # The pieces run on `threads` workers and are added as they come
+        # back; integer sums in any order give the same counts. Switch
+        # threads as often as possible so a lost update would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for name, xyz in _edge_clouds().items():
+                np.testing.assert_array_equal(_octant_counts_whole_cloud(xyz, threads),
+                                              all_pairs_octant_counts(xyz), err_msg=name)
+        finally:
+            sys.setswitchinterval(interval)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=70))

@@ -128,7 +128,8 @@ def test_duplicate_grid_matches_full_sort_oracle(monkeypatch, blocks, k):
     train_y = rng.integers(0, 4, size=400)
     queries = rng.integers(0, 3, size=(120, 3)).astype(float)
     if blocks == "many blocks":
-        # 7 queries per block, so 18 blocks with a short last one.
+        # At most 2,800 candidate pairs per step: several steps per
+        # width, with a short last one.
         monkeypatch.setattr(knn_module, "_BLOCK_PAIRS", 7 * 400)
     model = KnnModel(train=_matrix(train_x, train_y), k=k)
     got = knn_predict_labels(model, _matrix(queries))
@@ -186,7 +187,8 @@ def test_more_tied_rows_than_one_query_asks_for(monkeypatch, block_pairs):
     )
     from scipy.spatial import cKDTree
 
-    row, idx = knn_module._candidates(cKDTree(train_x), queries[:4], 3)
+    steps = list(knn_module._candidates(cKDTree(train_x), queries[:4], 3))
+    row, idx = (np.concatenate(arrays) for arrays in zip(*steps))
     assert np.bincount(row).tolist() == [64] * 4
     assert set(idx.tolist()) == set(range(64))
 
@@ -219,13 +221,11 @@ def test_overflowing_distances_rejected():
         knn_predict_labels(model, _matrix(queries))
 
 
-def test_vote_matrix_memory_stays_near_candidates():
-    # A (1500, 1500, 10) float64 distance table alone is 180 MB. The
-    # candidates are about k = 10 rows per query: some 15,000 pairs of
-    # ten columns, a few MB with their temporaries.
-    rng = np.random.default_rng(9)
+def _traced_vote_peak(train_values, rng):
+    """Peak traced allocation of _vote_matrix over 1,500 ten-column
+    queries, k = 10, after checking that every query got k votes."""
     model = KnnModel(
-        train=_matrix(rng.uniform(size=(1500, 10)), rng.integers(0, 4, size=1500)), k=10
+        train=_matrix(train_values, rng.integers(0, 4, size=len(train_values))), k=10
     )
     queries = _matrix(rng.uniform(size=(1500, 10)))
     # Loading scipy.spatial allocates more than the call itself: load it
@@ -239,6 +239,23 @@ def test_vote_matrix_memory_stays_near_candidates():
     finally:
         tracemalloc.stop()
     assert (votes.sum(axis=1) == 10).all()
+    return peak
+
+
+def test_vote_matrix_memory_stays_near_candidates():
+    # A (1500, 1500, 10) float64 distance table alone is 180 MB. The
+    # candidates are about k = 10 rows per query: some 15,000 pairs of
+    # ten columns, a few MB with their temporaries.
+    rng = np.random.default_rng(9)
+    peak = _traced_vote_peak(rng.uniform(size=(1500, 10)), rng)
+    assert peak < 16 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
+
+
+def test_vote_matrix_memory_bounded_when_all_training_rows_tie():
+    # Every training row is the same point, so every query doubles its
+    # width up to all 1,500 rows: 2.25M candidate pairs in all. Steps of
+    # at most _BLOCK_PAIRS pairs keep the peak as low as above.
+    peak = _traced_vote_peak(np.full((1500, 10), 0.25), np.random.default_rng(9))
     assert peak < 16 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
 
 

@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prodcoef.errors import FormatError, ValidationError
+import prodcoef.matrix as matrix_module
+from prodcoef.errors import FormatError, ProdcoefError, ValidationError
 from prodcoef.matrix import FeatureMatrix, read_feature_csv, write_feature_csv
 from prodcoef.pointcloud import read_csv
 
@@ -166,3 +171,111 @@ def test_point_and_feature_readers_share_row_rules(tmp_path, body, bad_row):
     for read in (lambda: read_csv(path, has_label=True), lambda: read_feature_csv(path)):
         with pytest.raises(FormatError, match=f"p.csv row {bad_row}: "):
             read()
+
+
+# Cells that np.loadtxt reads exactly as float() does.
+_EDGE_FLOATS = ["-0.0", "5e-324", "1.7976931348623157e+308", "-1.7976931348623157e+308",
+                "1e+16", "0.30000000000000004", " 0.5", "0.25 ", "\t2.0\t"]
+_PLAIN_LABELS = ["0", "7", "-4", "+5", " 3 ", str(2**63 - 1), str(-2**63)]
+# Cells that one reader or the other refuses, or reads only through
+# _parse_rows: each gives the reference result or error either way.
+_ODD_CELLS = ["nan", "-inf", "1e400", "1_0", '"0.5"', "oops", "", "0x10",
+              "0" * 199_999 + "1"]
+_ODD_LABELS = ["3.0", "1_0", str(2**63), str(-2**63 - 1), "1e30", "nan", "2.5", '"4"', ""]
+
+
+@st.composite
+def numeric_csvs(draw):
+    """(text, kind, has_label, fast): a point or feature CSV text, and
+    whether np.loadtxt is expected to read all of it."""
+    kind = draw(st.sampled_from(["points", "features"]))
+    n_values = 3 if kind == "points" else draw(st.integers(1, 4))
+    has_label = draw(st.booleans())
+    names = ["x", "y", "z"] if kind == "points" else [f"f{i}" for i in range(n_values)]
+    header = kind == "features" or draw(st.booleans())
+    lines = [",".join(names + ["label"] * has_label)] if header else []
+    odd = False
+    floats = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "short", "long"]))
+        if shape == "blank":
+            lines.append("")
+            continue
+        if shape == "spaces":
+            lines.append("   ")
+            odd = True
+            continue
+        cells = [draw(floats | st.sampled_from(_EDGE_FLOATS)) for _ in range(n_values)]
+        if has_label:
+            cells.append(draw(st.integers(-2**63, 2**63 - 1).map(str)
+                              | st.sampled_from(_PLAIN_LABELS)))
+        if draw(st.integers(0, 4)) == 0:
+            at = draw(st.integers(0, len(cells) - 1))
+            labelled = has_label and at == len(cells) - 1
+            cells[at] = draw(st.sampled_from(_ODD_LABELS if labelled else _ODD_CELLS))
+            odd = True
+        if shape == "short":
+            cells.pop()
+            odd = True
+        elif shape == "long":
+            cells.append("0.5")
+            odd = True
+        lines.append(",".join(cells))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(line + eol for line in lines)
+    has_data = any(lines[header:])
+    return text, kind, has_label, has_data and not odd
+
+
+def _read_outcome(path, kind, has_label):
+    """The arrays a reader returns, bit for bit, or its error."""
+    try:
+        if kind == "points":
+            cloud = read_csv(path, has_label=has_label)
+            values, labels, names = cloud.xyz, cloud.labels, None
+        else:
+            matrix = read_feature_csv(path)
+            values, labels, names = matrix.values, matrix.labels, matrix.column_names
+    except ProdcoefError as exc:
+        return type(exc), str(exc)
+    return (values.shape, values.tobytes(), names,
+            None if labels is None else labels.tolist())
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=numeric_csvs())
+def test_loadtxt_reader_equals_reference_rows(tmp_path_factory, case):
+    text, kind, has_label, fast = case
+    path = tmp_path_factory.getbasetemp() / "numeric.csv"
+    path.write_bytes(text.encode())
+    loaded = []
+    load_rows = matrix_module._load_rows
+
+    def spy(*args):
+        table = load_rows(*args)
+        loaded.append(table is not None)
+        return table
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix_module, "_load_rows", spy)
+        got = _read_outcome(path, kind, has_label)
+        patch.setattr(matrix_module, "_load_rows", lambda *args: None)
+        expected = _read_outcome(path, kind, has_label)
+    assert got == expected
+    if fast:
+        assert loaded == [True]
+
+
+def test_header_only_bodies_read_without_warning(tmp_path):
+    # np.loadtxt warns about a body without data; the readers must not
+    # let that warning out, and read such a body as no rows.
+    path = tmp_path / "m.csv"
+    for body in ("", "\n", "\r\n\n"):
+        path.write_text("x,y,z,label\n" + body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            matrix = read_feature_csv(path)
+            cloud = read_csv(path, has_label=True)
+        assert [str(w.message) for w in caught] == []
+        assert matrix.values.shape == (0, 3) and matrix.labels.tolist() == []
+        assert cloud.xyz.shape == (0, 3) and cloud.labels.tolist() == []
