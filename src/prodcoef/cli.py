@@ -30,6 +30,7 @@ from pathlib import Path
 
 from .errors import FormatError, ProdcoefError, ValidationError
 from .evaluation import (
+    F1_AVERAGES,
     ClassifierPipeline,
     CrossValPlan,
     PipelineSpec,
@@ -374,8 +375,9 @@ def cmd_report(args) -> int:
         try:
             reports.append(report_from_json(path.read_text()))
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            # ValueError covers bytes that are not UTF-8 and text that is
-            # not JSON; KeyError and TypeError JSON that is not a report.
+            # ValueError covers bytes that are not UTF-8, text that is not
+            # JSON and fields of the wrong type; KeyError and TypeError
+            # other JSON that is not a report.
             raise FormatError(
                 f"cannot read report {path}: {type(exc).__name__}: {exc}"
             ) from None
@@ -415,8 +417,6 @@ def _add_neighborhood(parser: _Parser) -> None:
 
 
 def _add_classifier_params(parser: _Parser) -> None:
-    parser.add_argument("--folds", type=int, default=5)
-    parser.add_argument("--f1", choices=("macro", "micro", "weighted"), default="macro")
     parser.add_argument("--k", type=int, default=10, help="KNN neighbor count")
     parser.add_argument("--trees", type=int, default=100, help="random forest size")
     parser.add_argument("--max-depth", type=int, default=None)
@@ -427,6 +427,8 @@ def _add_evaluate_params(parser: _Parser) -> None:
                         help="1: xyz vs full features; 2: PCA component sweep")
     parser.add_argument("--components", type=_parse_components, default=(3, 10),
                         help="component range for table 2, e.g. 3..10 or 5")
+    parser.add_argument("--folds", type=int, default=5)
+    parser.add_argument("--f1", choices=F1_AVERAGES, default="macro")
     _add_classifier_params(parser)
 
 
@@ -465,9 +467,7 @@ def build_parser() -> _Parser:
     p.add_argument("--classifier", choices=("knn", "rf"), required=True)
     p.add_argument("--components", type=int, default=None,
                    help="optional PCA step before the classifier")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=None)
+    _add_classifier_params(p)
     _add_common(p)
     p.set_defaults(func=cmd_train)
 

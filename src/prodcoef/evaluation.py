@@ -9,9 +9,10 @@ only; held-out labels can never leak into fitting.
 `cross_validate_many` evaluates many (features, pipeline) runs at once.
 Each (run, fold) fit-and-predict is one independent job; with more than
 one worker the jobs run in order on processes made by POSIX fork, which
-inherit the data copy-on-write and send back only predicted labels.
-Each worker holds one fold's model at a time. The scores are merged in
-job order, so reports are the same bytes for any worker count.
+inherit the data copy-on-write and send back only each fold's confusion
+matrix. Each worker holds one fold's model at a time. Every F1 and report
+is read from those matrices in job order, so reports are the same bytes
+for any worker count.
 `cross_validate` is its one-run, in-process case.
 """
 
@@ -45,56 +46,49 @@ def _check_label_pair(true_labels, predicted):
     return true_labels, predicted
 
 
-def _per_class_f1(true_labels, predicted, classes):
-    f1s = []
-    supports = []
-    for c in classes:
-        tp = int(((predicted == c) & (true_labels == c)).sum())
-        fp = int(((predicted == c) & (true_labels != c)).sum())
-        fn = int(((predicted != c) & (true_labels == c)).sum())
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        f1s.append(f1)
-        supports.append(tp + fn)
-    return np.array(f1s), np.array(supports)
+def _check_average(average: str) -> None:
+    if average not in F1_AVERAGES:
+        raise ValidationError(f"unknown F1 average {average!r}; use one of {F1_AVERAGES}")
+
+
+def _confusion(classes, true_labels, predicted) -> np.ndarray:
+    """(C, C) int64 counts over sorted `classes`; rows truth, columns predictions."""
+    n = len(classes)
+    codes = np.searchsorted(classes, true_labels) * n + np.searchsorted(classes, predicted)
+    return np.bincount(codes, minlength=n * n).reshape(n, n)
+
+
+def _f1_from_confusion(confusion: np.ndarray, average: str) -> float:
+    """F1 over the classes present in the truth (rows with support): per
+    class 2pr / (p + r), 0 where a denominator is 0, for macro and
+    weighted means; the same formula over summed counts for micro."""
+    support = confusion.sum(axis=1)
+    present = support > 0
+    tp = np.diag(confusion)[present]
+    predicted = confusion.sum(axis=0)[present]
+    support = support[present]
+    if average == "micro":
+        tp, predicted, support = (a.sum(keepdims=True) for a in (tp, predicted, support))
+    precision = np.divide(tp, predicted, out=np.zeros(len(tp)), where=predicted > 0)
+    recall = tp / support
+    total = precision + recall
+    f1 = np.divide(2 * precision * recall, total, out=np.zeros(len(tp)), where=total > 0)
+    if average == "weighted":
+        return float((f1 * support).sum() / support.sum())
+    return float(f1.mean())
+
+
+def f1_score(true_labels, predicted, average: str = "macro") -> float:
+    """Macro, micro (accuracy) or weighted F1 over the truth's classes."""
+    _check_average(average)
+    true_labels, predicted = _check_label_pair(true_labels, predicted)
+    classes = np.unique(np.concatenate([true_labels, predicted]))
+    return _f1_from_confusion(_confusion(classes, true_labels, predicted), average)
 
 
 def macro_f1(true_labels, predicted) -> float:
     """Unweighted mean of per-class F1 over classes present in the truth."""
-    true_labels, predicted = _check_label_pair(true_labels, predicted)
-    classes = np.unique(true_labels)
-    f1s, _ = _per_class_f1(true_labels, predicted, classes)
-    return float(f1s.mean())
-
-
-def micro_f1(true_labels, predicted) -> float:
-    """Global-count F1 (equals accuracy for single-label multiclass)."""
-    true_labels, predicted = _check_label_pair(true_labels, predicted)
-    classes = np.unique(true_labels)
-    tp = int((true_labels == predicted).sum())
-    fp = sum(int(((predicted == c) & (true_labels != c)).sum()) for c in classes)
-    fn = int((true_labels != predicted).sum())
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    return 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-
-
-def weighted_f1(true_labels, predicted) -> float:
-    """Support-weighted mean of per-class F1."""
-    true_labels, predicted = _check_label_pair(true_labels, predicted)
-    classes = np.unique(true_labels)
-    f1s, supports = _per_class_f1(true_labels, predicted, classes)
-    return float((f1s * supports).sum() / supports.sum())
-
-
-_F1_FUNCS = {"macro": macro_f1, "micro": micro_f1, "weighted": weighted_f1}
-
-
-def f1_score(true_labels, predicted, average: str = "macro") -> float:
-    if average not in _F1_FUNCS:
-        raise ValidationError(f"unknown F1 average {average!r}; use one of {F1_AVERAGES}")
-    return _F1_FUNCS[average](true_labels, predicted)
+    return f1_score(true_labels, predicted)
 
 
 @dataclass(frozen=True)
@@ -229,10 +223,10 @@ class _FoldJobs:
     """Every (run, fold) fit-and-predict of one cross_validate_many call.
 
     Jobs are numbered run-major: job j is fold j % folds of run
-    j // folds. A job returns its fold's predicted labels, already
-    checked against the fold's truth and the run's classes, so that
-    whichever process runs it, a bad prediction fails in the job that
-    made it.
+    j // folds. A job checks its fold's predicted labels against the
+    fold's truth and the run's classes, so that whichever process runs
+    it, a bad prediction fails in the job that made it, and returns the
+    fold's (C, C) int64 confusion matrix over the run's C classes.
     """
 
     def __init__(self, runs, plan: CrossValPlan):
@@ -257,7 +251,7 @@ class _FoldJobs:
         fold, classes = self.splits[run]
         fitted = pipeline.fit(features.take_rows(np.nonzero(fold != f)[0]))
         test_idx = np.nonzero(fold == f)[0]
-        _, predicted = _check_label_pair(
+        truth, predicted = _check_label_pair(
             features.labels[test_idx], fitted.predict_labels(features.take_rows(test_idx))
         )
         outside = ~np.isin(predicted, classes)
@@ -265,7 +259,7 @@ class _FoldJobs:
             raise ValidationError(
                 f"pipeline predicted label {predicted[outside][0]} outside the data's classes"
             )
-        return predicted
+        return _confusion(classes, truth, predicted)
 
 
 # The jobs of the cross_validate_many call that forked this worker
@@ -282,12 +276,12 @@ def _run_worker_job(job: int) -> np.ndarray:
     return _worker_jobs(job)
 
 
-def _run_forked(jobs: _FoldJobs, workers: int, consume):
-    """consume(predictions of every job, in job order), with the jobs
+def _run_forked(jobs: _FoldJobs, workers: int) -> list[np.ndarray]:
+    """The confusion matrix of every job, in job order, with the jobs
     run on `workers` forked processes.
 
     Forked workers inherit the runs' matrices and pipelines
-    copy-on-write, so only job numbers and predicted labels cross
+    copy-on-write, so only job numbers and confusion matrices cross
     between processes. Jobs go out in job-order chunks, at least four
     per worker, which balances the load and, for small jobs, costs a
     fraction of one IPC round trip per job. map yields in job order, so
@@ -309,7 +303,7 @@ def _run_forked(jobs: _FoldJobs, workers: int, consume):
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_set_worker_jobs, initargs=(jobs,)) as pool:
-            return consume(pool.map(_run_worker_job, range(len(jobs)), chunksize=chunksize))
+            return list(pool.map(_run_worker_job, range(len(jobs)), chunksize=chunksize))
     except BrokenProcessPool:
         raise ProdcoefError(
             "a cross-validation worker process died (killed, perhaps out of memory)"
@@ -330,50 +324,39 @@ def cross_validate_many(runs, plan: CrossValPlan, f1_average: str = "macro",
     in order in this process. With more (0 = one per CPU, never more
     than there are jobs) they run on forked worker processes, which
     needs POSIX fork and a caller with no other threads running; each
-    worker holds one fold's model at a time. Scores and confusion
-    matrices are merged here in job order, so the reports never depend
-    on `workers`, and neither does which error a failing call raises.
+    worker holds one fold's model at a time. Each job's confusion
+    matrix gives its fold's F1, and a run's summed matrices its
+    report's confusion, in job order, so the reports never depend on
+    `workers`, and neither does which error a failing call raises.
     """
-    if f1_average not in _F1_FUNCS:
-        raise ValidationError(f"unknown F1 average {f1_average!r}")
+    _check_average(f1_average)
     for features, _, _ in runs:
         if features.labels is None:
             raise ValidationError("cross-validation needs labeled features")
     jobs = _FoldJobs(runs, plan)
-
-    def merge(predictions) -> list[EvaluationReport]:
-        reports = []
-        for (features, pipeline, extra_config), (fold, classes) in zip(runs, jobs.splits):
-            confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
-            per_fold = []
-            for f in range(plan.folds):
-                predicted = next(predictions)
-                truth = features.labels[fold == f]
-                per_fold.append(f1_score(truth, predicted, f1_average))
-                np.add.at(confusion, (np.searchsorted(classes, truth),
-                                      np.searchsorted(classes, predicted)), 1)
-            config = dict(extra_config or {})
-            if hasattr(pipeline, "describe"):
-                config.update(pipeline.describe())
-            config.update(
-                {"folds": plan.folds, "cv_seed": plan.seed, "stratified": plan.stratified,
-                 "f1_average": f1_average}
-            )
-            per_fold_arr = np.array(per_fold)
-            reports.append(EvaluationReport(
-                per_fold_f1=tuple(float(v) for v in per_fold),
-                mean_f1=float(per_fold_arr.mean()),
-                std_f1=float(per_fold_arr.std(ddof=1)),
-                config=config,
-                classes=tuple(int(c) for c in classes),
-                confusion=confusion,
-            ))
-        return reports
-
     workers = worker_count(workers, len(jobs))
-    if workers == 1:
-        return merge(map(jobs, range(len(jobs))))
-    return _run_forked(jobs, workers, merge)
+    confusions = (list(map(jobs, range(len(jobs)))) if workers == 1
+                  else _run_forked(jobs, workers))
+    reports = []
+    for run, ((_, pipeline, extra_config), (_, classes)) in enumerate(zip(runs, jobs.splits)):
+        folds = confusions[run * plan.folds:(run + 1) * plan.folds]
+        per_fold = np.array([_f1_from_confusion(c, f1_average) for c in folds])
+        config = dict(extra_config or {})
+        if hasattr(pipeline, "describe"):
+            config.update(pipeline.describe())
+        config.update(
+            {"folds": plan.folds, "cv_seed": plan.seed, "stratified": plan.stratified,
+             "f1_average": f1_average}
+        )
+        reports.append(EvaluationReport(
+            per_fold_f1=tuple(float(v) for v in per_fold),
+            mean_f1=float(per_fold.mean()),
+            std_f1=float(per_fold.std(ddof=1)),
+            config=config,
+            classes=tuple(int(c) for c in classes),
+            confusion=np.sum(folds, axis=0),
+        ))
+    return reports
 
 
 def cross_validate(features: FeatureMatrix, plan: CrossValPlan, pipeline,
@@ -396,15 +379,38 @@ def report_to_json(report: EvaluationReport) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _json_numbers(values, kind=(int, float)) -> bool:
+    """values is a JSON array of numbers, of integers if kind is int."""
+    return isinstance(values, list) and all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in values)
+
+
 def report_from_json(text: str) -> EvaluationReport:
+    """The report report_to_json wrote; other text raises ValueError (a
+    field of the wrong type or shape, or not JSON), KeyError or TypeError."""
     payload = json.loads(text)
+    classes, confusion = payload["classes"], payload["confusion"]
+    n = len(classes) if isinstance(classes, list) else -1
+    for name, ok in (
+        ("per_fold_f1", _json_numbers(payload["per_fold_f1"])),
+        ("mean_f1", _json_numbers([payload["mean_f1"]])),
+        ("std_f1", _json_numbers([payload["std_f1"]])),
+        ("config", isinstance(payload["config"], dict)),
+        ("classes", _json_numbers(classes, int)),
+        ("confusion", confusion is None or (
+            isinstance(confusion, list) and len(confusion) == n
+            and all(_json_numbers(row, int) and len(row) == n
+                    and all(0 <= c < 2**63 for c in row) for row in confusion))),
+    ):
+        if not ok:
+            raise ValueError(f"report field {name!r} has the wrong type or shape")
     return EvaluationReport(
         per_fold_f1=tuple(payload["per_fold_f1"]),
         mean_f1=payload["mean_f1"],
         std_f1=payload["std_f1"],
         config=payload["config"],
-        classes=tuple(payload["classes"]),
-        confusion=None if payload["confusion"] is None else np.array(payload["confusion"]),
+        classes=tuple(classes),
+        confusion=None if confusion is None else np.array(confusion, dtype=np.int64).reshape(n, n),
     )
 
 
@@ -416,13 +422,6 @@ _FEATURE_SET_TITLES = {
     "xyz": "Original features (x,y,z)",
     "full": "With product coefficients",
 }
-
-
-def _classifier_cell(reports, **match) -> str:
-    for report in reports:
-        if all(report.config.get(k) == v for k, v in match.items()):
-            return format_cell(report.mean_f1, report.std_f1)
-    return ""
 
 
 def render_feature_table(reports) -> tuple[str, str]:
@@ -437,16 +436,8 @@ def render_feature_table(reports) -> tuple[str, str]:
     for fs in seen:
         if fs and fs not in feature_sets:
             feature_sets.append(fs)
-    rows = []
-    for fs in feature_sets:
-        rows.append(
-            (
-                _FEATURE_SET_TITLES.get(fs, fs),
-                _classifier_cell(reports, feature_set=fs, classifier="knn"),
-                _classifier_cell(reports, feature_set=fs, classifier="rf"),
-            )
-        )
-    return _tables(("features", "knn_f1", "rf_f1"), rows)
+    rows = [(_FEATURE_SET_TITLES.get(fs, fs), fs) for fs in feature_sets]
+    return _classifier_grid(("features", "knn_f1", "rf_f1"), "feature_set", rows, reports)
 
 
 def render_components_table(reports) -> tuple[str, str]:
@@ -454,16 +445,23 @@ def render_components_table(reports) -> tuple[str, str]:
     counts = sorted(
         {r.config.get("n_components") for r in reports if r.config.get("n_components")}
     )
-    rows = []
-    for n in counts:
-        rows.append(
-            (
-                str(n),
-                _classifier_cell(reports, n_components=n, classifier="knn"),
-                _classifier_cell(reports, n_components=n, classifier="rf"),
-            )
-        )
-    return _tables(("n_components", "knn_f1", "rf_f1"), rows)
+    rows = [(str(n), n) for n in counts]
+    return _classifier_grid(("n_components", "knn_f1", "rf_f1"), "n_components", rows, reports)
+
+
+def _classifier_grid(header, key, rows, reports) -> tuple[str, str]:
+    """Tables with one line per (title, value) row; its KNN and RF cells show
+    the first report with that value under `key` and that classifier."""
+    values = [value for _, value in rows]
+    cells = {}
+    for report in reports:
+        value, clf = report.config.get(key), report.config.get("classifier")
+        if clf in ("knn", "rf") and value in values:
+            at = (values.index(value), clf)
+            if at not in cells:
+                cells[at] = format_cell(report.mean_f1, report.std_f1)
+    return _tables(header, [(title, cells.get((i, "knn"), ""), cells.get((i, "rf"), ""))
+                            for i, (title, _) in enumerate(rows)])
 
 
 def _tables(header: tuple[str, ...], rows) -> tuple[str, str]:

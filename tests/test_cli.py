@@ -416,14 +416,57 @@ def test_report_rerenders_tables(tmp_path, scene_csv):
     assert rendered == original
 
 
-@pytest.mark.parametrize("content", [None, "not json\n", '{"mean_f1": 0.5}\n'],
-                         ids=["missing", "not json", "no per_fold_f1"])
+_GOOD_REPORT = {
+    "per_fold_f1": [0.5, 1], "mean_f1": 0.75, "std_f1": 0.25,
+    "config": {"classifier": "knn", "n_components": 3},
+    "classes": [-1, 4], "confusion": [[3, 1], [0, 4]],
+}
+
+
+def _report_with(**fields) -> str:
+    return json.dumps({**_GOOD_REPORT, **fields}) + "\n"
+
+
+_BAD_REPORT_FIELDS = {
+    "mean_f1 text": {"mean_f1": "abc"},
+    "std_f1 null": {"std_f1": None},
+    "mean_f1 bool": {"mean_f1": True},
+    "config list": {"config": []},
+    "classes text": {"classes": "ab"},
+    "classes floats": {"classes": [-1.0, 4.0]},
+    "per_fold_f1 text": {"per_fold_f1": "ab"},
+    "per_fold_f1 null entry": {"per_fold_f1": [0.5, None]},
+    "confusion text": {"confusion": "ab"},
+    "confusion short": {"confusion": [[3, 1]]},
+    "confusion ragged": {"confusion": [[3, 1], [0]]},
+    "confusion floats": {"confusion": [[3.0, 1], [0, 4]]},
+    "confusion negative": {"confusion": [[3, -1], [0, 4]]},
+    "confusion past int64": {"confusion": [[2**63, 1], [0, 4]]},
+}
+
+
+def test_well_typed_report_renders(tmp_path):
+    # The base that the bad-field cases below each break in one field.
+    path = tmp_path / "report_t2_n03_knn.json"
+    path.write_text(_report_with())
+    assert main(["report", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "table2.csv").read_text().splitlines()[1] == "3,0.75 (± 0.25),"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "not json\n", '{"mean_f1": 0.5}\n', "[]\n",
+     *(_report_with(**fields) for fields in _BAD_REPORT_FIELDS.values())],
+    ids=["missing", "not json", "no per_fold_f1", "json list", *_BAD_REPORT_FIELDS],
+)
 def test_unreadable_report_gives_io_exit(tmp_path, capsys, content):
     path = tmp_path / "report_t2_n03_knn.json"
     if content is not None:
         path.write_text(content)
     assert main(["report", str(path), "--out-dir", str(tmp_path / "o")]) == 2
-    assert "report_t2_n03_knn.json" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cannot read report" in err and "report_t2_n03_knn.json" in err
+    assert "Traceback" not in err
 
 
 def test_report_reproduces_evaluate_table1(tmp_path, scene_csv):

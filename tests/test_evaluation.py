@@ -12,24 +12,50 @@ from prodcoef.evaluation import (
     CrossValPlan,
     EvaluationReport,
     PipelineSpec,
+    _FoldJobs,
+    _run_forked,
     cross_validate,
     cross_validate_many,
     f1_score,
     fold_assignment,
     format_cell,
     macro_f1,
-    micro_f1,
     render_components_table,
     render_feature_table,
     render_plot_csv,
     render_report,
     report_from_json,
     report_to_json,
-    weighted_f1,
 )
 from prodcoef.forest import forest_to_json
 from prodcoef.matrix import FeatureMatrix
 from prodcoef.pca import fit_pca, pca_to_json, transform
+
+
+def _reference_f1(true_labels, predicted, average):
+    """F1 counted class by class with boolean masks, as the evaluate stage
+    once did, over the classes present in the truth."""
+    true_labels, predicted = np.asarray(true_labels), np.asarray(predicted)
+    classes = np.unique(true_labels)
+    if average == "micro":
+        tp = int((true_labels == predicted).sum())
+        fp = sum(int(((predicted == c) & (true_labels != c)).sum()) for c in classes)
+        fn = int((true_labels != predicted).sum())
+        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+        return 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    f1s, supports = [], []
+    for c in classes:
+        tp = int(((predicted == c) & (true_labels == c)).sum())
+        fp = int(((predicted == c) & (true_labels != c)).sum())
+        fn = int(((predicted != c) & (true_labels == c)).sum())
+        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+        f1s.append(2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0)
+        supports.append(tp + fn)
+    if average == "macro":
+        return float(np.array(f1s).mean())
+    return float((np.array(f1s) * np.array(supports)).sum() / np.array(supports).sum())
 
 
 def _matrix(values, labels=None):
@@ -57,12 +83,12 @@ class TestF1:
     def test_micro_equals_accuracy(self):
         true = [0, 1, 2, 2, 1, 0]
         pred = [0, 1, 1, 2, 1, 2]
-        assert micro_f1(true, pred) == pytest.approx(4 / 6)
+        assert f1_score(true, pred, "micro") == pytest.approx(4 / 6)
 
     def test_weighted_reduces_to_macro_when_balanced(self):
         true = [0, 0, 1, 1]
         pred = [0, 1, 1, 0]
-        assert weighted_f1(true, pred) == pytest.approx(macro_f1(true, pred))
+        assert f1_score(true, pred, "weighted") == pytest.approx(macro_f1(true, pred))
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -71,6 +97,19 @@ class TestF1:
     def test_unknown_average(self):
         with pytest.raises(ValidationError):
             f1_score([0], [0], average="harmonic")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from([-7, -1, 0, 3, 1000, 2**40]),
+                           st.sampled_from([-7, -1, 0, 3, 1000, 2**40, -2**35, 5])),
+                 min_size=1, max_size=60),
+        st.sampled_from(["macro", "micro", "weighted"]),
+    )
+    def test_equals_per_class_reference_exactly(self, pairs, average):
+        # Predictions include classes absent from the truth (-2**35, 5),
+        # and codes are negative and sparse.
+        true, pred = (list(v) for v in zip(*pairs))
+        assert f1_score(true, pred, average) == _reference_f1(true, pred, average)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -190,6 +229,20 @@ class TestCrossValidate:
         )
         np.testing.assert_array_equal(report.confusion.sum(axis=1), [20, 20, 20])
 
+    def test_unstratified_fold_missing_a_class_scores_its_own_classes(self):
+        # 12 rows of class 0 and 3 of class 2 in 5 unstratified folds: the
+        # seed leaves class 2 out of some folds, whose F1 then averages
+        # over class 0 alone, as f1_score of that fold does.
+        labels = np.array([0] * 12 + [2] * 3)
+        features = _matrix(np.arange(15.0)[:, None], labels)
+        plan = CrossValPlan(folds=5, seed=1, stratified=False)
+        fold = fold_assignment(labels, plan)
+        assert any(2 not in labels[fold == f] for f in range(5))
+        report = cross_validate(features, plan, _ConstantStub(0))
+        expected = tuple(f1_score(labels[fold == f], np.zeros((fold == f).sum(), int))
+                         for f in range(5))
+        assert report.per_fold_f1 == expected
+
     def test_byte_identical_reports(self):
         features = self._features(n=50, seed=5)
         pipeline = ClassifierPipeline(PipelineSpec("knn", n_components=2, k=3))
@@ -289,6 +342,20 @@ class TestCrossValidateMany:
                     for f, p, extra in runs]
         reports = cross_validate_many(runs, plan, "weighted", workers=workers)
         assert [report_to_json(r) for r in reports] == expected
+
+        # Each fold job returns a (C, C) int64 confusion matrix whose row
+        # sums are its fold's class counts; a report sums its folds'.
+        jobs = _FoldJobs(runs, plan)
+        confusions = ([jobs(j) for j in range(len(jobs))] if workers == 1
+                      else _run_forked(jobs, workers))
+        fold = fold_assignment(features.labels, plan)
+        assert len(confusions) == len(runs) * 5
+        for job, confusion in enumerate(confusions):
+            assert confusion.dtype == np.int64 and confusion.shape == (3, 3)
+            counts = np.bincount(features.labels[fold == job % 5], minlength=3)
+            np.testing.assert_array_equal(confusion.sum(axis=1), counts)
+        for run, report in enumerate(reports):
+            np.testing.assert_array_equal(report.confusion, sum(confusions[run * 5:run * 5 + 5]))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_first_failing_job_in_run_fold_order_wins(self, workers):

@@ -1,9 +1,13 @@
 """The benchmark harness in perfbench/ still imports against the package,
 and its jobs load no more than they use."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+from prodcoef import cli
+from prodcoef.evaluation import EvaluationReport, render_report
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,3 +41,20 @@ def test_default_radius_features_does_not_load_scipy_spatial(tmp_path):
         cwd=ROOT, check=True, capture_output=True, text=True, timeout=60,
     )
     assert (tmp_path / "out" / "features.csv").exists()
+
+
+def test_render_keys_have_table_files_in_cli_and_replay():
+    # evaluate, report and the benchmark's replay each map render_report's
+    # keys to file names; a renamed key must fail here, not in a benchmark.
+    code = ("import sys, json; sys.path[:0] = sys.argv[1:]; import replay; "
+            "print(json.dumps(sorted(replay.TABLE_FILES)))")
+    replay_keys = json.loads(subprocess.run(
+        [sys.executable, "-B", "-c", code, str(ROOT / "perfbench"), str(ROOT / "src")],
+        cwd=ROOT, check=True, capture_output=True, text=True, timeout=60,
+    ).stdout)
+    for table_config in ({"feature_set": "xyz"}, {"n_components": 3}):
+        reports = [EvaluationReport(per_fold_f1=(0.5, 0.5), mean_f1=0.5, std_f1=0.0,
+                                    config={**table_config, "classifier": clf})
+                   for clf in ("knn", "rf")]
+        keys = set(render_report(reports))
+        assert keys and keys <= set(cli.TABLE_FILES) and keys <= set(replay_keys)
