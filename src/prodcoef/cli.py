@@ -6,13 +6,14 @@ and the one-shot `run` command produce byte-identical files. Manifests
 record file basenames, never absolute paths, and never the thread
 count (threads must not affect results).
 
-`--threads` sets the workers of the three parallel steps: in
-`features`, threads for the kd-tree pair queries of radius
-neighborhoods and threads for the pieces of the whole-cloud count at a
-radius of sqrt(3) or more; in `evaluate`, forked processes for the
-cross-validation folds (POSIX fork; each worker process holds one
-fold's model at a time). 0 means one per CPU; the default 1 runs
-everything in this thread.
+`--seed` and `--out-dir` are on every stage command (`report` takes
+only `--out-dir`). `--threads`, on `features`, `evaluate` and `run`
+only, sets the workers of the three parallel steps: in `features`,
+threads for the kd-tree pair queries of radius neighborhoods and
+threads for the pieces of the whole-cloud count at a radius of sqrt(3)
+or more; in `evaluate`, forked processes for the cross-validation folds
+(POSIX fork; each worker process holds one fold's model at a time). 0
+means one per CPU; the default 1 runs everything in this thread.
 
 Exit codes: 0 success, 1 validation, 2 I/O or format, 3 data
 consistency.
@@ -26,6 +27,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import FormatError, ProdcoefError, ValidationError
@@ -114,19 +116,23 @@ def _load_cloud(args):
     return read_csv(path, has_label=args.has_label), None
 
 
-def cmd_ingest(args) -> int:
-    out = _out_dir(args)
-    cloud, header = _load_cloud(args)
-    cloud = normalize_unit_cube(cloud, mode=args.normalize)
-    points_path = out / "points.csv"
-    write_csv(cloud, points_path)
-    config = {
+def _input_config(args) -> dict:
+    return {
         "input": Path(args.input).name,
         "format": args.format,
         "has_label": args.has_label,
         "normalize": args.normalize,
         "seed": args.seed,
     }
+
+
+def cmd_ingest(args) -> int:
+    out = _out_dir(args)
+    cloud, header = _load_cloud(args)
+    cloud = normalize_unit_cube(cloud, mode=args.normalize)
+    points_path = out / "points.csv"
+    write_csv(cloud, points_path)
+    config = _input_config(args)
     if header is not None:
         config["las_header"] = {
             "version": list(header.version),
@@ -152,27 +158,9 @@ def cmd_synth(args) -> int:
     cloud = generate_scene(spec)
     scene_path = out / "scene.csv"
     write_csv(cloud, scene_path)
-    config = {
-        "classes": spec.classes,
-        "points_per_class": spec.points_per_class,
-        "separation": spec.separation,
-        "seed": spec.seed,
-    }
-    _write_manifest(out, "synth", config, {}, [scene_path])
+    _write_manifest(out, "synth", asdict(spec), {}, [scene_path])
     log.info("synth: %d points -> %s", len(cloud), scene_path)
     return 0
-
-
-def _features_config(args) -> dict:
-    return {
-        "input": Path(args.input).name,
-        "format": args.format,
-        "has_label": args.has_label,
-        "normalize": args.normalize,
-        "radius": args.radius,
-        "include_center": not args.no_include_center,
-        "seed": args.seed,
-    }
 
 
 def _run_features(args, out: Path) -> tuple[Path, FeatureMatrix]:
@@ -183,8 +171,10 @@ def _run_features(args, out: Path) -> tuple[Path, FeatureMatrix]:
     matrix = extract_features(cloud, spec, threads=args.threads)
     features_path = out / "features.csv"
     write_feature_csv(matrix, features_path)
-    _write_manifest(out, "features", _features_config(args),
-                    {Path(args.input).name: Path(args.input)}, [features_path])
+    config = {**_input_config(args), "radius": spec.radius,
+              "include_center": spec.include_center}
+    _write_manifest(out, "features", config, {Path(args.input).name: Path(args.input)},
+                    [features_path])
     log.info("features: %d rows in %.2fs -> %s",
              matrix.n_rows, time.perf_counter() - started, features_path)
     return features_path, matrix
@@ -216,6 +206,16 @@ def cmd_pca(args) -> int:
     return 0
 
 
+def _classifier_config(args) -> dict:
+    """The manifest fields of _add_classifier_params' flags and --seed."""
+    return {"k": args.k, "trees": args.trees, "max_depth": args.max_depth, "seed": args.seed}
+
+
+def _pipeline_spec(args, classifier: str, n_components: int | None) -> PipelineSpec:
+    return PipelineSpec(classifier=classifier, n_components=n_components, k=args.k,
+                        n_trees=args.trees, max_depth=args.max_depth, seed=args.seed)
+
+
 def cmd_train(args) -> int:
     out = _out_dir(args)
     features_path = Path(args.features)
@@ -223,10 +223,7 @@ def cmd_train(args) -> int:
     if matrix.labels is None:
         raise ValidationError("training requires a labeled feature file")
 
-    spec = PipelineSpec(
-        classifier=args.classifier, n_components=args.components, k=args.k,
-        n_trees=args.trees, max_depth=args.max_depth, seed=args.seed,
-    )
+    spec = _pipeline_spec(args, args.classifier, args.components)
     fitted = ClassifierPipeline(spec).fit(matrix)
 
     outputs = []
@@ -250,15 +247,8 @@ def cmd_train(args) -> int:
         model_path.write_text(forest_to_json(fitted.model) + "\n")
     outputs.append(model_path)
 
-    config = {
-        "features": features_path.name,
-        "classifier": args.classifier,
-        "n_components": args.components,
-        "k": args.k,
-        "trees": args.trees,
-        "max_depth": args.max_depth,
-        "seed": args.seed,
-    }
+    config = {"features": features_path.name, "classifier": args.classifier,
+              "n_components": args.components, **_classifier_config(args)}
     _write_manifest(out, "train", config, {features_path.name: features_path}, outputs)
     log.info("train: %s -> %s", args.classifier, model_path)
     return 0
@@ -323,11 +313,8 @@ def _run_evaluate(args, out: Path, features_path: Path, matrix: FeatureMatrix) -
     outputs = []
     for prefix, features, n_components, extra in sets:
         for clf in ("knn", "rf"):
-            spec = PipelineSpec(
-                classifier=clf, n_components=n_components, k=args.k,
-                n_trees=args.trees, max_depth=args.max_depth, seed=args.seed,
-            )
-            runs.append((features, ClassifierPipeline(spec), {**base_config, **extra}))
+            pipeline = ClassifierPipeline(_pipeline_spec(args, clf, n_components))
+            runs.append((features, pipeline, {**base_config, **extra}))
             outputs.append(out / f"{prefix}_{clf}.json")
     reports = cross_validate_many(runs, plan, f1_average=args.f1, workers=args.threads)
     for path, report in zip(outputs, reports):
@@ -344,10 +331,7 @@ def _run_evaluate(args, out: Path, features_path: Path, matrix: FeatureMatrix) -
         "components": None if args.table == 1 else list(args.components),
         "folds": args.folds,
         "f1": args.f1,
-        "k": args.k,
-        "trees": args.trees,
-        "max_depth": args.max_depth,
-        "seed": args.seed,
+        **_classifier_config(args),
     }
     _write_manifest(out, "evaluate", config, {features_path.name: features_path}, outputs)
     log.info("evaluate: table %d done in %.2fs", args.table, time.perf_counter() - started)
@@ -393,6 +377,9 @@ def cmd_report(args) -> int:
 def _add_common(parser: _Parser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="run seed (recorded in artifacts)")
     parser.add_argument("--out-dir", default=".", help="output directory")
+
+
+def _add_threads(parser: _Parser) -> None:
     parser.add_argument("--threads", type=int, default=1,
                         help="workers: threads for the radius neighborhoods' "
                              "kd-tree pair queries and for the whole-cloud "
@@ -454,6 +441,7 @@ def build_parser() -> _Parser:
     _add_input(p)
     _add_neighborhood(p)
     _add_common(p)
+    _add_threads(p)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("pca", help="fit PCA on a feature file and project it")
@@ -475,6 +463,7 @@ def build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     _add_evaluate_params(p)
     _add_common(p)
+    _add_threads(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("run", help="features + evaluate in one shot")
@@ -482,11 +471,12 @@ def build_parser() -> _Parser:
     _add_neighborhood(p)
     _add_evaluate_params(p)
     _add_common(p)
+    _add_threads(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="re-render tables from report JSON files")
     p.add_argument("reports", nargs="+", help="report JSON paths")
-    _add_common(p)
+    p.add_argument("--out-dir", default=".", help="output directory")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -232,15 +232,16 @@ class _FoldJobs:
     def __init__(self, runs, plan: CrossValPlan):
         self.runs = runs
         self.folds = plan.folds
-        # Runs over one label vector (table 1's column subsets, table 2's
-        # component counts) share its fold assignment and class list.
+        # Runs over equal label vectors (table 1's column subsets, each a
+        # FeatureMatrix with its own copy of the labels, and table 2's
+        # component counts) share one fold assignment and class list.
         splits = {}
         for features, _, _ in runs:
-            key = id(features.labels)
+            key = features.labels.tobytes()
             if key not in splits:
                 splits[key] = (fold_assignment(features.labels, plan),
                                np.unique(features.labels))
-        self.splits = [splits[id(features.labels)] for features, _, _ in runs]
+        self.splits = [splits[features.labels.tobytes()] for features, _, _ in runs]
 
     def __len__(self) -> int:
         return len(self.runs) * self.folds
@@ -387,15 +388,23 @@ def _json_numbers(values, kind=(int, float)) -> bool:
 
 def report_from_json(text: str) -> EvaluationReport:
     """The report report_to_json wrote; other text raises ValueError (a
-    field of the wrong type or shape, or not JSON), KeyError or TypeError."""
+    field of the wrong type or shape, or not JSON), KeyError or TypeError.
+    Of the config, the fields the table renderers read are checked where
+    set: feature_set and classifier strings, n_components an int >= 1."""
     payload = json.loads(text)
-    classes, confusion = payload["classes"], payload["confusion"]
+    classes, confusion, config = payload["classes"], payload["confusion"], payload["config"]
     n = len(classes) if isinstance(classes, list) else -1
+    table = config if isinstance(config, dict) else {}
+    n_components = table.get("n_components")
     for name, ok in (
         ("per_fold_f1", _json_numbers(payload["per_fold_f1"])),
         ("mean_f1", _json_numbers([payload["mean_f1"]])),
         ("std_f1", _json_numbers([payload["std_f1"]])),
-        ("config", isinstance(payload["config"], dict)),
+        ("config", isinstance(config, dict)),
+        ("config.feature_set", isinstance(table.get("feature_set"), (str, type(None)))),
+        ("config.classifier", isinstance(table.get("classifier"), (str, type(None)))),
+        ("config.n_components", n_components is None
+         or (_json_numbers([n_components], int) and n_components >= 1)),
         ("classes", _json_numbers(classes, int)),
         ("confusion", confusion is None or (
             isinstance(confusion, list) and len(confusion) == n
@@ -408,7 +417,7 @@ def report_from_json(text: str) -> EvaluationReport:
         per_fold_f1=tuple(payload["per_fold_f1"]),
         mean_f1=payload["mean_f1"],
         std_f1=payload["std_f1"],
-        config=payload["config"],
+        config=config,
         classes=tuple(classes),
         confusion=None if confusion is None else np.array(confusion, dtype=np.int64).reshape(n, n),
     )

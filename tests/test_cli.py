@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import prodcoef
-from prodcoef.cli import main
+from prodcoef.cli import build_parser, main
 from prodcoef.matrix import read_feature_csv
 
 from conftest import build_las
@@ -442,6 +443,16 @@ _BAD_REPORT_FIELDS = {
     "confusion floats": {"confusion": [[3.0, 1], [0, 4]]},
     "confusion negative": {"confusion": [[3, -1], [0, 4]]},
     "confusion past int64": {"confusion": [[2**63, 1], [0, 4]]},
+    **{f"config {name} {what}": {"config": {**_GOOD_REPORT["config"], name: value}}
+       for name, what, value in (
+           ("feature_set", "int", 5),
+           ("n_components", "text", "abc"),
+           ("n_components", "list", [1]),
+           ("n_components", "bool", True),
+           ("n_components", "zero", 0),
+           ("n_components", "float", 3.0),
+           ("classifier", "int", 3),
+       )},
 }
 
 
@@ -505,7 +516,76 @@ def test_overflowing_knn_distances_give_validation_exit(tmp_path, capsys, thread
 
 
 def test_unknown_flag_maps_to_validation_exit(tmp_path):
-    assert main(["synth", "--bogus", "--out-dir", str(tmp_path)]) == 1
+    # --threads is only on features, evaluate and run; report takes no --seed.
+    for argv in (
+        ["synth", "--bogus"],
+        ["synth", "--threads", "2"],
+        ["ingest", "--input", "scene.las", "--threads", "2"],
+        ["pca", "--features", "features.csv", "--components", "3", "--threads", "2"],
+        ["train", "--features", "features.csv", "--classifier", "rf", "--threads", "2"],
+        ["report", "report.json", "--threads", "2"],
+        ["report", "report.json", "--seed", "1"],
+    ):
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 1, argv
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A Namespace that records the name of every attribute read from it
+    in `reads`, a slot, so that vars() lists only the parsed dests."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self):
+        super().__init__()
+        self.reads = set()
+
+    def __getattribute__(self, name):
+        object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# Tiny inputs for each subcommand; {root} holds the files that
+# stage_inputs writes.
+_STAGE_ARGS = {
+    "synth": ["--classes", "3", "--points-per-class", "30"],
+    "ingest": ["--input", "{root}/scene.csv", "--has-label"],
+    "features": ["--input", "{root}/scene.csv", "--has-label", "--radius", "0.4"],
+    "pca": ["--features", "{root}/features.csv", "--components", "3"],
+    "train": ["--features", "{root}/features.csv", "--classifier", "rf", "--trees", "2"],
+    "evaluate": ["--features", "{root}/features.csv", "--components", "3", "--folds", "3",
+                 "--trees", "2"],
+    "run": ["--input", "{root}/scene.csv", "--has-label", "--radius", "0.4",
+            "--components", "3", "--folds", "3", "--trees", "2"],
+    "report": ["{root}/report_t2_n03_knn.json", "{root}/report_t2_n03_rf.json"],
+}
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("stages")
+    for command in ("synth", "features", "evaluate"):
+        argv = [a.format(root=root) for a in _STAGE_ARGS[command]]
+        assert main([command, *argv, "--out-dir", str(root)]) == 0
+    return root
+
+
+def test_every_subcommand_has_tiny_inputs():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(_STAGE_ARGS)
+
+
+@pytest.mark.parametrize("command", list(_STAGE_ARGS))
+def test_every_flag_is_read(tmp_path, stage_inputs, command):
+    # A flag that its command's handler never reads only adds a setting
+    # that does nothing.
+    argv = [command, *(a.format(root=stage_inputs) for a in _STAGE_ARGS[command]),
+            "--out-dir", str(tmp_path)]
+    args = build_parser().parse_args(argv, namespace=_ReadRecorder())
+    declared = set(vars(args)) - {"func", "command"}
+    args.reads.clear()
+    assert args.func(args) == 0
+    assert declared - args.reads == set()
 
 
 def test_manifest_records_digests(tmp_path, scene_csv):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodcoef import evaluation
 from prodcoef.errors import ProdcoefError, ValidationError
 from prodcoef.evaluation import (
     ClassifierPipeline,
@@ -371,6 +372,23 @@ class TestCrossValidateMany:
         ]
         with pytest.raises(ValidationError, match=f"^run 1 without row {early}$"):
             cross_validate_many(runs, plan, workers=workers)
+
+    def test_equal_label_vectors_share_one_fold_assignment(self, monkeypatch):
+        # As in table 1: select_columns gives the xyz runs a FeatureMatrix
+        # with its own copy of the labels, equal to the full runs' labels.
+        calls = []
+
+        def counted(labels, plan):
+            calls.append(len(labels))
+            return fold_assignment(labels, plan)
+
+        monkeypatch.setattr(evaluation, "fold_assignment", counted)
+        features = self._features()
+        xyz = features.select_columns(features.column_names[:3])
+        assert xyz.labels is not features.labels
+        runs = [(f, _PerfectOracle(), None) for f in (xyz, xyz, features, features)]
+        cross_validate_many(runs, CrossValPlan(folds=3))
+        assert calls == [len(features.labels)]
 
     def test_dead_worker_becomes_prodcoef_error(self):
         features = self._features()

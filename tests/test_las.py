@@ -1,8 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from prodcoef.cli import main
 from prodcoef.errors import ConsistencyError, FormatError, UnsupportedError
 from prodcoef.las import read_las
+
+from conftest import build_las
 
 
 def test_scale_offset_arithmetic(las_file):
@@ -144,3 +151,66 @@ def test_las_14_uses_64bit_count(las_file):
     )
     _, header = read_las(path)
     assert header.point_count == 2
+
+
+def _uint(bits, near=None):
+    """Any unsigned value of `bits` bits, with small values (0..near) drawn
+    more often, since those sit next to the reader's bounds."""
+    every = st.integers(0, 2**bits - 1)
+    return every if near is None else st.one_of(st.integers(0, near), every)
+
+
+# Header field -> (byte offset, struct layout, values to write there).
+_HEADER_MUTATIONS = {
+    "version": (24, "<BB", st.one_of(st.sampled_from([(1, 2), (1, 3), (1, 4)]),
+                                     st.tuples(_uint(8), _uint(8)))),
+    "format byte": (104, "<B", st.tuples(_uint(8, near=9))),
+    "record length": (105, "<H", st.tuples(_uint(16, near=80))),
+    "header size": (94, "<H", st.tuples(_uint(16, near=400))),
+    "offset to points": (96, "<I", st.tuples(_uint(32, near=600))),
+    "legacy count": (107, "<I", st.tuples(_uint(32, near=12))),
+    "1.4 count": (247, "<Q", st.tuples(_uint(64, near=12))),
+}
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    base=st.sampled_from([((1, 2), 0), ((1, 3), 3), ((1, 4), 1), ((1, 4), 6), ((1, 4), 8)]),
+    mutations=st.fixed_dictionaries({}, optional={
+        name: values for name, (_, _, values) in _HEADER_MUTATIONS.items()}),
+    keep_bytes=st.one_of(st.none(), st.integers(0, 700)),
+)
+def test_mutated_header_reads_or_fails_with_its_exit_code(tmp_path, base, mutations,
+                                                          keep_bytes):
+    # A header the writer never makes either reads as a cloud or fails
+    # with a format (exit 2) or consistency (exit 3) error, never with an
+    # unmapped exception. A 1.2 or 1.3 file has point records where 1.4
+    # keeps its 64-bit count, so that mutation hits the body there.
+    version, point_format = base
+    data = bytearray(build_las([(i, 2 * i, -i) for i in range(8)], classifications=range(8),
+                               version=version, point_format=point_format))
+    for name, values in mutations.items():
+        at, layout, _ = _HEADER_MUTATIONS[name]
+        struct.pack_into(layout, data, at, *values)
+    if keep_bytes is not None:
+        del data[keep_bytes:]
+    path = tmp_path / "mutated.las"
+    path.write_bytes(bytes(data))
+    try:
+        cloud, header = read_las(path)
+    except (FormatError, ConsistencyError) as exc:
+        assert exc.exit_code == (3 if isinstance(exc, ConsistencyError) else 2)
+    else:
+        assert cloud.xyz.shape == (header.point_count, 3)
+        assert cloud.labels.shape == (header.point_count,)
+
+
+def test_zero_point_las_stops_ingest_with_validation_exit(las_file, tmp_path, capsys):
+    # A header that declares no points reads as an empty cloud, which
+    # normalization refuses.
+    path = las_file(raw_xyz=[(1, 2, 3)], declared_count=0)
+    cloud, header = read_las(path)
+    assert len(cloud) == header.point_count == 0
+    assert main(["ingest", "--input", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: cannot normalize an empty point cloud\n"
