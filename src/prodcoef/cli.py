@@ -15,6 +15,17 @@ or more; in `evaluate`, forked processes for the cross-validation folds
 (POSIX fork; each worker process holds one fold's model at a time). 0
 means one per CPU; the default 1 runs everything in this thread.
 
+Each command imports the stage modules it runs when it runs, so
+`--help` and argument errors load no numpy. `synth` loads the `synth`
+and `pointcloud` modules; `ingest` loads `pointcloud`, and `las` for LAS
+input; `features` loads what `ingest` does plus `features` and
+`matrix`, never `evaluation`, `forest`, `knn`, `pca`, `dyadic` or
+`synth`; `pca` loads `matrix` and `pca`; `train`, `evaluate` and
+`report` load `evaluation`, which loads `forest`, `knn` and `pca`; `run`
+loads what `features` and `evaluate` load. `scipy.spatial` is imported
+only where a kd-tree is built (radius features, KNN prediction) and
+once before `evaluate` forks its fold workers.
+
 Exit codes: 0 success, 1 validation, 2 I/O or format, 3 data
 consistency.
 """
@@ -29,33 +40,23 @@ import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+from .choices import F1_AVERAGES, NORMALIZE_MODES
 from .errors import FormatError, ProdcoefError, ValidationError
-from .evaluation import (
-    F1_AVERAGES,
-    ClassifierPipeline,
-    CrossValPlan,
-    PipelineSpec,
-    cross_validate_many,
-    render_report,
-    report_from_json,
-    report_to_json,
-)
-from .features import FEATURE_COLUMNS, NeighborhoodSpec, extract_features
-from .forest import forest_to_json
-from .las import read_las
-from .matrix import FeatureMatrix, read_feature_csv, write_feature_csv
-from .pca import fit_pca, pca_to_json, transform
-from .pointcloud import (
-    NORMALIZE_MODES,
-    XYZ_COLUMNS,
-    normalize_unit_cube,
-    read_csv,
-    write_csv,
-)
-from .synth import SceneSpec, generate_scene
+
+if TYPE_CHECKING:
+    from .evaluation import PipelineSpec
+    from .matrix import FeatureMatrix
 
 log = logging.getLogger("prodcoef")
+
+# Defaults of --k, --trees and --components, filled in after parsing:
+# the flags default to None, so that train can refuse the other
+# classifier's flags and table 1 can refuse --components.
+_DEFAULT_K = 10
+_DEFAULT_TREES = 100
+_DEFAULT_COMPONENTS = (3, 10)
 
 # render_report key -> file name, shared by evaluate and report. Table 1
 # reports carry a feature_set and no n_components, table 2 reports the
@@ -111,8 +112,12 @@ def _load_cloud(args):
     if fmt == "auto":
         fmt = "las" if path.suffix.lower() == ".las" else "csv"
     if fmt == "las":
+        from .las import read_las
+
         cloud, header = read_las(path)
         return cloud, header
+    from .pointcloud import read_csv
+
     return read_csv(path, has_label=args.has_label), None
 
 
@@ -127,6 +132,8 @@ def _input_config(args) -> dict:
 
 
 def cmd_ingest(args) -> int:
+    from .pointcloud import normalize_unit_cube, write_csv
+
     out = _out_dir(args)
     cloud, header = _load_cloud(args)
     cloud = normalize_unit_cube(cloud, mode=args.normalize)
@@ -148,6 +155,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .pointcloud import write_csv
+    from .synth import SceneSpec, generate_scene
+
     out = _out_dir(args)
     spec = SceneSpec(
         classes=args.classes,
@@ -164,6 +174,10 @@ def cmd_synth(args) -> int:
 
 
 def _run_features(args, out: Path) -> tuple[Path, FeatureMatrix]:
+    from .features import NeighborhoodSpec, extract_features
+    from .matrix import write_feature_csv
+    from .pointcloud import normalize_unit_cube
+
     started = time.perf_counter()
     cloud, _ = _load_cloud(args)
     cloud = normalize_unit_cube(cloud, mode=args.normalize)
@@ -186,6 +200,9 @@ def cmd_features(args) -> int:
 
 
 def cmd_pca(args) -> int:
+    from .matrix import read_feature_csv, write_feature_csv
+    from .pca import fit_pca, pca_to_json, transform
+
     out = _out_dir(args)
     features_path = Path(args.features)
     matrix = read_feature_csv(features_path)
@@ -207,16 +224,35 @@ def cmd_pca(args) -> int:
 
 
 def _classifier_config(args) -> dict:
-    """The manifest fields of _add_classifier_params' flags and --seed."""
-    return {"k": args.k, "trees": args.trees, "max_depth": args.max_depth, "seed": args.seed}
+    """The manifest fields of _add_classifier_params' flags and --seed,
+    with unset flags at their defaults."""
+    return {"k": _DEFAULT_K if args.k is None else args.k,
+            "trees": _DEFAULT_TREES if args.trees is None else args.trees,
+            "max_depth": args.max_depth, "seed": args.seed}
 
 
 def _pipeline_spec(args, classifier: str, n_components: int | None) -> PipelineSpec:
-    return PipelineSpec(classifier=classifier, n_components=n_components, k=args.k,
-                        n_trees=args.trees, max_depth=args.max_depth, seed=args.seed)
+    from .evaluation import PipelineSpec
+
+    config = _classifier_config(args)
+    return PipelineSpec(classifier=classifier, n_components=n_components, k=config["k"],
+                        n_trees=config["trees"], max_depth=config["max_depth"],
+                        seed=config["seed"])
 
 
 def cmd_train(args) -> int:
+    from .evaluation import ClassifierPipeline
+    from .forest import forest_to_json
+    from .matrix import read_feature_csv
+    from .pca import pca_to_json
+
+    other_flags = ({"--trees": args.trees, "--max-depth": args.max_depth}
+                   if args.classifier == "knn" else {"--k": args.k})
+    given = [flag for flag, value in other_flags.items() if value is not None]
+    if given:
+        raise ValidationError(f"{' and '.join(given)} cannot be used with "
+                              f"--classifier {args.classifier}")
+
     out = _out_dir(args)
     features_path = Path(args.features)
     matrix = read_feature_csv(features_path)
@@ -278,8 +314,28 @@ def _upstream_config(features_path: Path):
     return None
 
 
-def _run_evaluate(args, out: Path, features_path: Path, matrix: FeatureMatrix) -> None:
-    """Cross-validate `matrix`, the contents of `features_path`."""
+def _table_components(args) -> tuple[int, int] | None:
+    """The component range that table 2 sweeps; None for table 1, which
+    takes no --components."""
+    if args.table == 1:
+        if args.components is not None:
+            raise ValidationError("--components applies only to --table 2")
+        return None
+    return _DEFAULT_COMPONENTS if args.components is None else args.components
+
+
+def _run_evaluate(args, out: Path, components: tuple[int, int] | None,
+                  features_path: Path, matrix: FeatureMatrix) -> None:
+    """Cross-validate `matrix`, the contents of `features_path`, over
+    `components` (see _table_components)."""
+    from .evaluation import (
+        ClassifierPipeline,
+        CrossValPlan,
+        cross_validate_many,
+        render_report,
+        report_to_json,
+    )
+
     started = time.perf_counter()
     if matrix.labels is None:
         raise ValidationError("evaluation requires a labeled feature file")
@@ -293,6 +349,9 @@ def _run_evaluate(args, out: Path, features_path: Path, matrix: FeatureMatrix) -
     }
 
     if args.table == 1:
+        from .features import FEATURE_COLUMNS
+        from .pointcloud import XYZ_COLUMNS
+
         missing = [c for c in FEATURE_COLUMNS if c not in matrix.column_names]
         if missing:
             raise ValidationError(
@@ -302,7 +361,7 @@ def _run_evaluate(args, out: Path, features_path: Path, matrix: FeatureMatrix) -
                 for fs_name, features in (("xyz", matrix.select_columns(XYZ_COLUMNS)),
                                           ("full", matrix))]
     else:
-        lo, hi = args.components
+        lo, hi = components
         if hi > matrix.n_cols:
             raise ValidationError(
                 f"component range up to {hi} exceeds the {matrix.n_cols} feature columns"
@@ -328,7 +387,7 @@ def _run_evaluate(args, out: Path, features_path: Path, matrix: FeatureMatrix) -
     config = {
         "features": features_path.name,
         "table": args.table,
-        "components": None if args.table == 1 else list(args.components),
+        "components": None if components is None else list(components),
         "folds": args.folds,
         "f1": args.f1,
         **_classifier_config(args),
@@ -338,20 +397,27 @@ def _run_evaluate(args, out: Path, features_path: Path, matrix: FeatureMatrix) -
 
 
 def cmd_evaluate(args) -> int:
+    from .matrix import read_feature_csv
+
+    components = _table_components(args)
     features_path = Path(args.features)
-    _run_evaluate(args, _out_dir(args), features_path, read_feature_csv(features_path))
+    _run_evaluate(args, _out_dir(args), components, features_path,
+                  read_feature_csv(features_path))
     return 0
 
 
 def cmd_run(args) -> int:
+    components = _table_components(args)
     out = _out_dir(args)
     # repr round-trips every float, so the matrix in memory equals what
     # reading features.csv back would give.
-    _run_evaluate(args, out, *_run_features(args, out))
+    _run_evaluate(args, out, components, *_run_features(args, out))
     return 0
 
 
 def cmd_report(args) -> int:
+    from .evaluation import render_report, report_from_json
+
     out = _out_dir(args)
     reports = []
     for path_text in args.reports:
@@ -404,16 +470,18 @@ def _add_neighborhood(parser: _Parser) -> None:
 
 
 def _add_classifier_params(parser: _Parser) -> None:
-    parser.add_argument("--k", type=int, default=10, help="KNN neighbor count")
-    parser.add_argument("--trees", type=int, default=100, help="random forest size")
+    parser.add_argument("--k", type=int, help=f"KNN neighbor count (default {_DEFAULT_K})")
+    parser.add_argument("--trees", type=int,
+                        help=f"random forest size (default {_DEFAULT_TREES})")
     parser.add_argument("--max-depth", type=int, default=None)
 
 
 def _add_evaluate_params(parser: _Parser) -> None:
     parser.add_argument("--table", type=int, choices=(1, 2), default=2,
                         help="1: xyz vs full features; 2: PCA component sweep")
-    parser.add_argument("--components", type=_parse_components, default=(3, 10),
-                        help="component range for table 2, e.g. 3..10 or 5")
+    parser.add_argument("--components", type=_parse_components,
+                        help="component range for table 2, e.g. 3..10 or 5 "
+                             "(default {}..{})".format(*_DEFAULT_COMPONENTS))
     parser.add_argument("--folds", type=int, default=5)
     parser.add_argument("--f1", choices=F1_AVERAGES, default="macro")
     _add_classifier_params(parser)

@@ -24,14 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .choices import F1_AVERAGES
 from .errors import ProdcoefError, ValidationError
 from .forest import ForestConfig, RandomForestModel, rf_fit, rf_predict_labels
 from .knn import KnnModel, knn_predict_labels
 from .matrix import FeatureMatrix
 from .pca import PcaModel, fit_pca, transform
 from .workers import worker_count
-
-F1_AVERAGES = ("macro", "micro", "weighted")
 
 
 def _check_label_pair(true_labels, predicted):

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .choices import NORMALIZE_MODES
 from .errors import ValidationError
 from .matrix import FeatureMatrix, read_numeric_csv, rescale_unit_columns, write_feature_csv
 
-NORMALIZE_MODES = ("per-axis", "uniform")
 XYZ_COLUMNS = ("x", "y", "z")
 
 

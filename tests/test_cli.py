@@ -258,7 +258,7 @@ def test_run_evaluates_the_matrix_it_extracted(tmp_path, scene_csv, monkeypatch)
     def no_reread(path):
         raise AssertionError(f"run re-read {path}")
 
-    monkeypatch.setattr("prodcoef.cli.read_feature_csv", no_reread)
+    monkeypatch.setattr("prodcoef.matrix.read_feature_csv", no_reread)
     oneshot = tmp_path / "oneshot"
     assert main([
         "run", "--input", str(scene_csv), "--has-label", "--radius", "0.3",
@@ -295,7 +295,8 @@ def test_evaluate_threads_do_not_change_artifacts(tmp_path, scene_csv, table):
     # fold workers before anything has loaded scipy.spatial.
     features = _features(tmp_path, scene_csv)
     argv = ["evaluate", "--features", str(features), "--table", table,
-            "--components", "3..4", "--folds", "3", "--trees", "4"]
+            *(["--components", "3..4"] if table == "2" else []), "--folds", "3",
+            "--trees", "4"]
     assert main([*argv, "--threads", "1", "--out-dir", str(tmp_path / "t1")]) == 0
     env = dict(os.environ, PYTHONPATH=str(Path(prodcoef.__file__).parents[1]))
     subprocess.run([sys.executable, "-m", "prodcoef", *argv, "--threads", "2",
@@ -313,22 +314,46 @@ def test_run_threads_auto_equals_one(tmp_path, scene_csv):
     _same_files(tmp_path / "t1", tmp_path / "t0")
 
 
-def test_help_loads_no_process_pool():
-    code = (
-        "import sys\n"
-        "from prodcoef.cli import main\n"
-        "try:\n"
-        "    main(['evaluate', '--help'])\n"
-        "except SystemExit:\n"
-        "    pass\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] == 'multiprocessing'\n"
-        "             or m == 'concurrent.futures.process'))\n"
-    )
+# Runs `python -m prodcoef ARGV...` and prints the loaded modules last.
+_RUN_AND_LIST_MODULES = (
+    "import json, runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('prodcoef', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
+    "sys.exit(code)\n"
+)
+_PROCESS_POOL = ("multiprocessing", "concurrent.futures.process")
+_NOT_FEATURES = ("scipy.spatial", "prodcoef.evaluation", "prodcoef.forest", "prodcoef.knn",
+                 "prodcoef.pca", "prodcoef.dyadic", "prodcoef.synth")
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    pytest.param(["--help"], ("numpy", *_PROCESS_POOL), id="help"),
+    pytest.param(["evaluate", "--help"], ("numpy", *_PROCESS_POOL), id="evaluate-help"),
+    # The whole-cloud count needs no kd-tree; importing scipy.spatial
+    # would add about 0.4 s to every default-radius features job.
+    pytest.param(["features", "--input", "{scene}", "--has-label", "--threads", "2",
+                  "--out-dir", "{out}"], _NOT_FEATURES, id="features-default-radius"),
+    pytest.param(["evaluate", "--features", "{features}", "--table", "1", "--folds", "3",
+                  "--trees", "2", "--out-dir", "{out}"],
+                 ("prodcoef.las", "prodcoef.synth", "prodcoef.dyadic"), id="evaluate"),
+])
+def test_command_leaves_modules_unloaded(tmp_path, scene_csv, argv, unloaded):
+    # Each command imports only the modules it runs, so --help, the
+    # benchmark's no-op job, starts without numpy.
+    out = tmp_path / "out"
+    argv = [a.format(scene=scene_csv, features=_features(tmp_path, scene_csv), out=out)
+            for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(prodcoef.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=60)
-    assert done.stdout.splitlines()[-1] == "[]"
+    done = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv], env=env,
+                          check=True, capture_output=True, text=True, timeout=60)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert [m for m in loaded
+            if any(m == name or m.startswith(name + ".") for name in unloaded)] == []
+    if "--out-dir" in argv:
+        assert (out / ("features.csv" if argv[0] == "features" else "table1.csv")).exists()
 
 
 def test_threads_do_not_change_default_radius_features(tmp_path, scene_csv):
@@ -399,6 +424,33 @@ def test_train_rf_and_knn(tmp_path, scene_csv):
     assert ref["training_csv"] == "features.csv"
     assert ref["training_digest"].startswith("sha256:")
     assert (knn_out / "pca_model.json").exists()
+
+
+def test_train_refuses_the_other_classifiers_flags(tmp_path, scene_csv):
+    # A flag the trained model never reads would only change the manifest.
+    features = _features(tmp_path, scene_csv)
+    for argv in (["--classifier", "knn", "--trees", "7"],
+                 ["--classifier", "knn", "--max-depth", "3"],
+                 ["--classifier", "rf", "--k", "5"]):
+        assert main(["train", "--features", str(features), *argv,
+                     "--out-dir", str(tmp_path / "refused")]) == 1, argv
+    assert not (tmp_path / "refused").exists()
+    # Unset flags are still recorded at their defaults.
+    assert main(["train", "--features", str(features), "--classifier", "knn",
+                 "--out-dir", str(tmp_path / "knn")]) == 0
+    config = json.loads((tmp_path / "knn" / "train.manifest.json").read_text())["config"]
+    assert (config["k"], config["trees"], config["max_depth"]) == (10, 100, None)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "run"])
+def test_table1_refuses_components(tmp_path, scene_csv, command, capsys):
+    features = _features(tmp_path, scene_csv)
+    source = (["--features", str(features)] if command == "evaluate"
+              else ["--input", str(scene_csv), "--has-label", "--radius", "0.3"])
+    assert main([command, *source, "--table", "1", "--components", "5",
+                 "--out-dir", str(tmp_path / "refused")]) == 1
+    assert "--components" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
 
 
 def test_report_rerenders_tables(tmp_path, scene_csv):

