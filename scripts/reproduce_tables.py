@@ -7,7 +7,8 @@ OUT/table1 and table 2 into OUT/table2, so each directory keeps its own
 evaluate manifest. Every stage runs with `--threads 0`, one worker per
 CPU; the thread count never changes the results.
 
-Usage: python scripts/reproduce_tables.py [--out-dir OUT] [--trees N]
+Usage: python scripts/reproduce_tables.py [--out-dir OUT] [--seed N]
+           [--radius R] [--points-per-class N] [--trees N] [--folds K]
 """
 
 import argparse

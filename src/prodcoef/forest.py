@@ -35,6 +35,18 @@ results stay within 2 n**2. Below 2**26 training rows all of them lie
 under 2**53, so float64 holds them exactly, in any summation order,
 and the gains equal those of integer arithmetic bit for bit.
 
+A node with fewer than _SMALL_NODE_ROWS (16) distinct rows is searched
+by _small_best_split instead, which walks each sampled feature's order
+in Python: there _best_split's fixed cost of about two dozen numpy
+calls outweighs a per-row loop. The loop's cost grows with rows times
+sampled features, so the break-even node has about 30 rows at 2
+sampled features and about 16 at 4 (PCA-10). Cutoffs of 16, 24 and 32
+rows are within 3% of each other on desk-scale PCA-3..10 folds, and 16
+is best on the PCA-10 proxy fold. The loop's running sums are the same
+integers held exactly, and it repeats _best_split's float operations
+in the same order, so both searches return the same split bit for bit;
+a test compares them node by node.
+
 Candidate draws do not call Generator.choice per node, whose fixed
 cost outweighs the sampling: _CandidateDraws reproduces its samples
 from the tree generator's own uint32 stream (see there). The equality
@@ -53,12 +65,13 @@ class counts that is zero except at leaves. The builder writes them in
 place, sized by the bound 2 * distinct rows - 1, and trims them once
 the tree is done; forest_from_json fills the same arrays. Loading
 checks what the builder guarantees, or raises FormatError naming the
-tree and node: classes are strictly ascending int64 codes, the tree
-count matches the config, children come after their parent (so routing
-always ends), every node but the root has exactly one parent (so every
-node is reachable), features exist, thresholds are finite, and every
-leaf has at least one count, each an int64 over a listed class that it
-names once.
+tree and node: n_features (at least 1) and the config fields are JSON
+integers (max_depth may be null), classes are strictly ascending int64
+codes, the tree count matches the config, children come after their
+parent (so routing always ends), every node but the root has exactly
+one parent (so every node is reachable), features exist, thresholds
+are finite, and every leaf has at least one count, each an int64 over
+a listed class that it names once.
 """
 
 from __future__ import annotations
@@ -198,6 +211,70 @@ def _best_split(columns: np.ndarray, rows: np.ndarray, table: np.ndarray,
     return int(features[winner]), pos + 1, float(mid[winner, pos]), cum[winner, pos]
 
 
+# Nodes with fewer distinct rows than this take _small_best_split (see
+# the module docstring for how it was chosen).
+_SMALL_NODE_ROWS = 16
+
+
+def _small_best_split(column_views: list[memoryview], rows: np.ndarray,
+                      y_view: memoryview, weight_view: memoryview,
+                      totals: np.ndarray, features: np.ndarray):
+    """_best_split's result, from one Python walk per sampled feature.
+
+    `column_views` holds a memoryview of each column (row of the
+    transposed training matrix); `y_view` and `weight_view` give every
+    training row's class position and weight. The walk keeps the left
+    class counts and both sides' sizes and sums of squared class counts
+    as Python ints, updated row by row. Each is an integer below 2**53,
+    and so is the value _best_split's cumsum, einsum and matmul give it,
+    so both searches hold the same numbers exactly; the gain, the
+    midpoint, the `mid < hi` skip and the first strictly positive
+    maximum then repeat _best_split's float operations in its order.
+    Only a wide matrix has a step hi - lo that overflows, so testing
+    every step for infinity picks the same midpoint form.
+    """
+    gini = _gini(totals[:-1], totals[-1])
+    *class_totals, n = [int(t) for t in totals.tolist()]
+    totals_sq = sum([t * t for t in class_totals])
+    inf = math.inf
+    best_gain = 0.0
+    best = None
+    for feature, order in zip(features.tolist(), rows.take(features, axis=0).tolist()):
+        x = column_views[feature]
+        left = [0] * len(class_totals)
+        n_left = sumsq_left = 0
+        n_right, sumsq_right = n, totals_sq
+        lo = x[order[0]]
+        cut = 0
+        for upper in order[1:]:
+            row = order[cut]
+            cut += 1
+            c = y_view[row]
+            w = weight_view[row]
+            count = left[c]
+            left[c] = count + w
+            n_left += w
+            n_right -= w
+            sumsq_left += (2 * count + w) * w
+            sumsq_right -= (2 * (class_totals[c] - count) - w) * w
+            hi = x[upper]
+            if lo == hi:
+                continue
+            step = hi - lo
+            mid = lo / 2 + hi / 2 if step == inf else lo + step / 2.0
+            if mid < hi:
+                gain = gini - (n_left - sumsq_left / n_left
+                               + n_right - sumsq_right / n_right) / n
+                if gain > best_gain:
+                    best_gain = gain
+                    best = feature, cut, mid, [*left, n_left]
+            lo = hi
+    if best is None:
+        return None
+    feature, cut, mid, left_totals = best
+    return feature, cut, mid, np.array(left_totals, dtype=np.float64)
+
+
 class _CandidateDraws:
     """Sorted candidate features per split search, equal to
     np.sort(rng.choice(d, m, replace=False)) with m = ceil(sqrt(d)),
@@ -271,6 +348,8 @@ def _build_tree(columns: np.ndarray, order: np.ndarray, wide: bool, y: np.ndarra
     table = np.zeros((n_rows, n_classes + 1))
     table[np.arange(n_rows), y] = weight
     table[:, n_classes] = weight
+    column_views = [memoryview(column) for column in columns]
+    y_view, weight_view = memoryview(y), memoryview(weight)
 
     def can_split(totals, depth):
         if config.max_depth is not None and depth >= config.max_depth:
@@ -296,7 +375,12 @@ def _build_tree(columns: np.ndarray, order: np.ndarray, wide: bool, y: np.ndarra
 
         split = None
         if rows is not None:
-            split = _best_split(columns, rows, table, totals, candidates.draw(), wide)
+            features = candidates.draw()
+            if rows.shape[1] < _SMALL_NODE_ROWS:
+                split = _small_best_split(column_views, rows, y_view, weight_view,
+                                          totals, features)
+            else:
+                split = _best_split(columns, rows, table, totals, features, wide)
         if split is None:
             tree.counts[node] = totals[:n_classes]
             continue
@@ -415,6 +499,14 @@ def forest_to_json(model: RandomForestModel) -> str:
 _INT64 = np.iinfo(np.int64)
 
 
+def _json_int(record: dict, key: str) -> int:
+    """record[key], which must be a JSON integer (not a bool or float)."""
+    value = record[key]
+    if type(value) is not int:
+        raise FormatError(f"forest {key} {value!r} is not an integer")
+    return value
+
+
 def forest_from_json(text: str) -> RandomForestModel:
     """Inverse of forest_to_json, checked on load (see the module
     docstring). A payload that is not a forest raises FormatError,
@@ -422,17 +514,19 @@ def forest_from_json(text: str) -> RandomForestModel:
     try:
         payload = json.loads(text)
         codes = list(payload["classes"])
-        n_features = int(payload["n_features"])
+        n_features = _json_int(payload, "n_features")
         cfg = payload["config"]
         config = ForestConfig(
-            n_trees=cfg["n_trees"],
-            max_depth=cfg["max_depth"],
-            min_samples_split=cfg["min_samples_split"],
-            seed=cfg["seed"],
+            n_trees=_json_int(cfg, "n_trees"),
+            max_depth=None if cfg["max_depth"] is None else _json_int(cfg, "max_depth"),
+            min_samples_split=_json_int(cfg, "min_samples_split"),
+            seed=_json_int(cfg, "seed"),
         )
         trees_payload = list(payload["trees"])
-    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise FormatError(f"not a forest payload: {type(exc).__name__}: {exc}") from None
+    if n_features < 1:
+        raise FormatError(f"forest n_features {n_features} is below 1")
     if not (
         codes
         and all(type(c) is int and _INT64.min <= c <= _INT64.max for c in codes)

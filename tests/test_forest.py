@@ -14,8 +14,11 @@ from prodcoef.errors import FormatError, ValidationError
 from prodcoef.evaluation import CrossValPlan, fold_assignment
 from prodcoef.features import NeighborhoodSpec, extract_features
 from prodcoef.forest import (
+    _SMALL_NODE_ROWS,
     ForestConfig,
+    _best_split,
     _CandidateDraws,
+    _small_best_split,
     _vote_matrix,
     forest_from_json,
     forest_to_json,
@@ -367,7 +370,9 @@ def _assert_same_trees(got, expected):
 def tie_grids(draw):
     """Tie-heavy labeled grids: few distinct values per column, repeated
     rows, sometimes a constant column and adjacent floats."""
-    n_rows = draw(st.integers(2, 80))
+    # Up to five times the small-node cutoff, so trees search nodes on
+    # both sides of it.
+    n_rows = draw(st.integers(2, 5 * _SMALL_NODE_ROWS))
     n_cols = draw(st.integers(1, 10))
     levels = draw(st.integers(2, 4))
     distinct = draw(st.integers(1, n_rows))
@@ -418,6 +423,64 @@ def test_adjacent_float_boundary_is_skipped_when_midpoint_rounds_up():
     _assert_same_trees(model.trees, _reference_fit(X, ForestConfig(n_trees=3, seed=0)))
 
 
+@st.composite
+def small_nodes(draw):
+    """One split search below the small-node cutoff: weights 1-5, 2-12
+    classes, and columns that are tie-heavy, adjacent floats, spread
+    over +-1e308 (so the matrix is wide) or plain floats."""
+    n_features = draw(st.integers(1, 6))
+    n_node = draw(st.integers(2, _SMALL_NODE_ROWS - 1))
+    n_rows = n_node + draw(st.integers(0, 8))
+    n_classes = draw(st.integers(2, 12))
+    columns = np.empty((n_features, n_rows))
+    for f in range(n_features):
+        kind = draw(st.sampled_from(["ties", "adjacent", "huge", "plain"]))
+        if kind == "plain":
+            values = draw(st.lists(st.floats(-1e3, 1e3), min_size=n_rows, max_size=n_rows))
+        else:
+            steps = np.array(draw(st.lists(st.integers(0, 3), min_size=n_rows,
+                                           max_size=n_rows)), dtype=float)
+            if kind == "ties":
+                values = steps / 3
+            elif kind == "adjacent":
+                # Neighbouring floats whose midpoint rounds up or down.
+                values = 1.0 + steps * 2.0**-52
+            else:
+                values = np.where(steps >= 2, 1e308, -1e308)
+        columns[f] = values
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n_rows,
+                               max_size=n_rows)))
+    weight = np.array(draw(st.lists(st.integers(1, 5), min_size=n_rows, max_size=n_rows)))
+    node = np.sort(draw(st.permutations(range(n_rows)))[:n_node])
+    # Each row of the order matrix sorts the node's rows stably by one column.
+    rows = node[np.argsort(columns[:, node], axis=1, kind="stable")]
+    features = np.array(sorted(draw(
+        st.sets(st.integers(0, n_features - 1), min_size=1, max_size=n_features))))
+    return columns, y, weight, n_classes, rows, features
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_nodes())
+def test_small_node_search_equals_best_split(case):
+    columns, y, weight, n_classes, rows, features = case
+    table = np.zeros((len(y), n_classes + 1))
+    table[np.arange(len(y)), y] = weight
+    table[:, n_classes] = weight
+    totals = table[rows[0]].sum(axis=0)
+    with np.errstate(over="ignore"):
+        wide = not np.isfinite(columns.max(axis=1) - columns.min(axis=1)).all()
+    expected = _best_split(columns, rows, table, totals, features, wide)
+    got = _small_best_split([memoryview(c) for c in columns], rows, memoryview(y),
+                            memoryview(weight), totals, features)
+    if expected is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got[:2] == expected[:2]
+    assert np.float64(got[2]).tobytes() == np.float64(expected[2]).tobytes()
+    assert (got[3].dtype, got[3].tobytes()) == (expected[3].dtype, expected[3].tobytes())
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -448,8 +511,10 @@ def test_golden_forest_bytes_on_pca_fold():
     )
 
 
-def test_threshold_between_values_whose_difference_overflows():
-    X = _matrix([[1e308], [-1e308], [1e308], [-1e308]], [0, 1, 0, 1])
+@pytest.mark.parametrize("n_rows", [4, 3 * _SMALL_NODE_ROWS])
+def test_threshold_between_values_whose_difference_overflows(n_rows):
+    # 4 rows search only small nodes; the larger root takes _best_split.
+    X = _matrix([[1e308], [-1e308]] * (n_rows // 2), [0, 1] * (n_rows // 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = rf_fit(X, ForestConfig(n_trees=2, seed=0))
@@ -532,13 +597,27 @@ def test_forest_from_json_rejects_empty_tree():
         (lambda p: p["config"].update(n_trees=3), "forest has 2 trees, its config says 3"),
         (lambda p: p["config"].update(n_trees=0),
          "not a forest payload: ValidationError: need at least one tree"),
-        (lambda p: p.update(n_features=float("inf")), "not a forest payload: OverflowError"),
+        (lambda p: p.update(n_features=float("inf")), "forest n_features inf is not an integer"),
         (lambda p: p["trees"].__setitem__(0, 5), "forest tree 0 has no nodes"),
+        (lambda p: p.update(n_features="3"), "forest n_features '3' is not an integer"),
+        (lambda p: p.update(n_features=True), "forest n_features True is not an integer"),
+        (lambda p: p.update(n_features=0), "forest n_features 0 is below 1"),
+        (lambda p: p["config"].update(n_trees=2.0), "forest n_trees 2.0 is not an integer"),
+        (lambda p: p["config"].update(n_trees=None), "forest n_trees None is not an integer"),
+        (lambda p: p["config"].update(max_depth=2.5), "forest max_depth 2.5 is not an integer"),
+        (lambda p: p["config"].update(max_depth=False),
+         "forest max_depth False is not an integer"),
+        (lambda p: p["config"].update(min_samples_split="2"),
+         "forest min_samples_split '2' is not an integer"),
+        (lambda p: p["config"].update(seed=1.5), "forest seed 1.5 is not an integer"),
     ],
     ids=[
         "descending classes", "repeated class", "no classes", "float class",
         "class beyond int64", "missing tree", "no trees", "extra tree in config",
         "zero trees in config", "infinite feature count", "tree not a node list",
+        "string feature count", "bool feature count", "zero features", "float tree count",
+        "null tree count", "fractional depth", "bool depth", "string split size",
+        "fractional seed",
     ],
 )
 def test_forest_from_json_rejects_inconsistent_payload(mutate, message):
