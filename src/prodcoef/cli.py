@@ -88,16 +88,14 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict,
-                    inputs: dict[str, Path], outputs: list[Path]) -> Path:
-    manifest = {
-        "command": command,
-        "config": config,
-        "inputs": {name: _digest(p) for name, p in sorted(inputs.items())},
-        "outputs": {p.name: _digest(p) for p in sorted(outputs)},
-    }
-    path = out_dir / f"{command}.manifest.json"
-    _write_json(path, manifest)
-    return path
+                    inputs: dict[str, str], outputs: list[Path]) -> dict[str, str]:
+    """Write `<command>.manifest.json` with `config`, the `inputs`
+    ({name: digest}) and a digest of each output; returns the outputs'
+    {name: digest}."""
+    digests = {p.name: _digest(p) for p in outputs}
+    _write_json(out_dir / f"{command}.manifest.json",
+                {"command": command, "config": config, "inputs": inputs, "outputs": digests})
+    return digests
 
 
 def _out_dir(args) -> Path:
@@ -141,14 +139,9 @@ def cmd_ingest(args) -> int:
     write_csv(cloud, points_path)
     config = _input_config(args)
     if header is not None:
-        config["las_header"] = {
-            "version": list(header.version),
-            "point_record_format": header.point_record_format,
-            "point_count": header.point_count,
-            "scale": list(header.scale),
-            "offset": list(header.offset),
-        }
-    _write_manifest(out, "ingest", config, {Path(args.input).name: Path(args.input)},
+        config["las_header"] = asdict(header)
+    input_path = Path(args.input)
+    _write_manifest(out, "ingest", config, {input_path.name: _digest(input_path)},
                     [points_path])
     log.info("ingest: %d points -> %s", len(cloud), points_path)
     return 0
@@ -173,7 +166,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _run_features(args, out: Path) -> tuple[Path, FeatureMatrix]:
+def _run_features(args, out: Path) -> tuple[Path, str, FeatureMatrix]:
+    """Extract features.csv into `out`; returns its path, digest and matrix."""
     from .features import NeighborhoodSpec, extract_features
     from .matrix import write_feature_csv
     from .pointcloud import normalize_unit_cube
@@ -187,11 +181,12 @@ def _run_features(args, out: Path) -> tuple[Path, FeatureMatrix]:
     write_feature_csv(matrix, features_path)
     config = {**_input_config(args), "radius": spec.radius,
               "include_center": spec.include_center}
-    _write_manifest(out, "features", config, {Path(args.input).name: Path(args.input)},
-                    [features_path])
+    input_path = Path(args.input)
+    digests = _write_manifest(out, "features", config,
+                              {input_path.name: _digest(input_path)}, [features_path])
     log.info("features: %d rows in %.2fs -> %s",
              matrix.n_rows, time.perf_counter() - started, features_path)
-    return features_path, matrix
+    return features_path, digests[features_path.name], matrix
 
 
 def cmd_features(args) -> int:
@@ -217,7 +212,7 @@ def cmd_pca(args) -> int:
         "n_components": args.components,
         "seed": args.seed,
     }
-    _write_manifest(out, "pca", config, {features_path.name: features_path},
+    _write_manifest(out, "pca", config, {features_path.name: _digest(features_path)},
                     [model_path, z_path])
     log.info("pca: kept %d components -> %s", args.components, model_path)
     return 0
@@ -258,6 +253,7 @@ def cmd_train(args) -> int:
     matrix = read_feature_csv(features_path)
     if matrix.labels is None:
         raise ValidationError("training requires a labeled feature file")
+    features_digest = _digest(features_path)
 
     spec = _pipeline_spec(args, args.classifier, args.components)
     fitted = ClassifierPipeline(spec).fit(matrix)
@@ -274,7 +270,7 @@ def cmd_train(args) -> int:
             {
                 "k": fitted.model.k,
                 "training_csv": features_path.name,
-                "training_digest": _digest(features_path),
+                "training_digest": features_digest,
                 "n_components": args.components,
             },
         )
@@ -285,7 +281,7 @@ def cmd_train(args) -> int:
 
     config = {"features": features_path.name, "classifier": args.classifier,
               "n_components": args.components, **_classifier_config(args)}
-    _write_manifest(out, "train", config, {features_path.name: features_path}, outputs)
+    _write_manifest(out, "train", config, {features_path.name: features_digest}, outputs)
     log.info("train: %s -> %s", args.classifier, model_path)
     return 0
 
@@ -304,14 +300,17 @@ def _parse_components(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _upstream_config(features_path: Path):
-    manifest = features_path.parent / "features.manifest.json"
-    if manifest.exists():
-        try:
-            return json.loads(manifest.read_text()).get("config")
-        except (OSError, json.JSONDecodeError):
-            return None
-    return None
+def _upstream_config(features_path: Path) -> dict | None:
+    """The `config` object of the features manifest beside
+    `features_path`; None where that manifest is missing, is not
+    readable JSON or has no object `config`."""
+    try:
+        manifest = json.loads((features_path.parent / "features.manifest.json").read_text())
+    except (OSError, ValueError, RecursionError):
+        # ValueError covers bytes that are not UTF-8 and text that is not JSON.
+        return None
+    config = manifest.get("config") if isinstance(manifest, dict) else None
+    return config if isinstance(config, dict) else None
 
 
 def _table_components(args) -> tuple[int, int] | None:
@@ -325,9 +324,10 @@ def _table_components(args) -> tuple[int, int] | None:
 
 
 def _run_evaluate(args, out: Path, components: tuple[int, int] | None,
-                  features_path: Path, matrix: FeatureMatrix) -> None:
-    """Cross-validate `matrix`, the contents of `features_path`, over
-    `components` (see _table_components)."""
+                  features_path: Path, features_digest: str, matrix: FeatureMatrix) -> None:
+    """Cross-validate `matrix`, the contents of `features_path` (whose
+    digest is `features_digest`), over `components` (see
+    _table_components)."""
     from .evaluation import (
         ClassifierPipeline,
         CrossValPlan,
@@ -343,7 +343,7 @@ def _run_evaluate(args, out: Path, components: tuple[int, int] | None,
     plan = CrossValPlan(folds=args.folds, seed=args.seed, stratified=True)
     base_config = {
         "features_file": features_path.name,
-        "features_digest": _digest(features_path),
+        "features_digest": features_digest,
         "upstream": _upstream_config(features_path),
         "seed": args.seed,
     }
@@ -392,7 +392,7 @@ def _run_evaluate(args, out: Path, components: tuple[int, int] | None,
         "f1": args.f1,
         **_classifier_config(args),
     }
-    _write_manifest(out, "evaluate", config, {features_path.name: features_path}, outputs)
+    _write_manifest(out, "evaluate", config, {features_path.name: features_digest}, outputs)
     log.info("evaluate: table %d done in %.2fs", args.table, time.perf_counter() - started)
 
 
@@ -401,8 +401,9 @@ def cmd_evaluate(args) -> int:
 
     components = _table_components(args)
     features_path = Path(args.features)
+    matrix = read_feature_csv(features_path)
     _run_evaluate(args, _out_dir(args), components, features_path,
-                  read_feature_csv(features_path))
+                  _digest(features_path), matrix)
     return 0
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,64 +200,56 @@ def rescale_unit_columns(values: np.ndarray, mins: np.ndarray, maxs: np.ndarray)
     return out
 
 
-@contextmanager
-def _open_csv(path):
-    """The text file at `path`, opened for csv.reader.
-
-    A file that cannot be opened, cannot be decoded as text or breaks
-    the CSV reader (a field over its size limit, say) is a FormatError
-    naming the file.
-    """
-    try:
-        handle = open(path, "r", newline="")
-    except OSError as exc:
-        raise FormatError(f"cannot open {path}: {exc}") from None
-    with handle:
-        try:
-            yield handle
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise FormatError(f"{path}: not a readable CSV file: {exc}") from None
-
-
-def _start_body(handle, layout):
-    """layout(first CSV record, or None in an empty file) -> (value
-    column names, has_label, file row of the first data row); leaves
-    `handle` at that row."""
-    names, has_label, first_row = layout(next(csv.reader(handle), None))
-    if first_row == 1:
-        handle.seek(0)
-    return names, has_label, first_row
+def _release(lines):
+    """Yield `lines` in order, dropping each from the list once yielded."""
+    for i, line in enumerate(lines):
+        lines[i] = None
+        yield line
 
 
 def read_numeric_csv(path, layout, what: str):
-    """(value column names, values, labels) of the numeric CSV at `path`,
-    whose header `layout` reads (see `_start_body`).
+    """(value column names, values, labels) of the numeric CSV at `path`.
 
-    The rows are read by `_load_rows` and, where it declines, again
-    from the start of the file by `_parse_rows`, so every accepted file
-    gives the reference arrays and every rejected one its error; `what`
-    names the value columns in row errors.
+    The file is opened and decoded once, into a list of lines. `layout`
+    reads the first CSV record (None in an empty file) and returns
+    (value column names, has_label, file row of the first data row: 1
+    when that record is data, 2 after a header). The body is read by
+    `_load_rows` and, where it declines, by `_parse_rows` from the same
+    lines, each released once parsed so that the lines and the parsed
+    rows are never all held at once. So every accepted file gives the
+    reference arrays and every rejected one its error; `what` names the
+    value columns in row errors. A file that cannot be opened, cannot be
+    decoded as text (checked before any row is read) or breaks the CSV
+    reader (a field over its size limit, say) is a FormatError naming
+    the file.
     """
-    with _open_csv(path) as handle:
-        names, has_label, first_row = _start_body(handle, layout)
-        try:
-            table = _load_rows(list(handle), len(names), has_label)
-        except UnicodeDecodeError:
-            table = None  # read again below, for the reference message
-    if table is None:
-        with _open_csv(path) as handle:
-            names, has_label, first_row = _start_body(handle, layout)
-            table = _parse_rows(csv.reader(handle), first_row, path, len(names),
+    try:
+        with open(path, "r", newline="") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise FormatError(f"cannot open {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a readable CSV file: {exc}") from None
+    reader = csv.reader(lines)
+    try:
+        names, has_label, first_row = layout(next(reader, None))
+        if first_row == 2:
+            del lines[:reader.line_num]
+        table = _load_rows(lines, len(names), has_label)
+        if table is None:
+            table = _parse_rows(csv.reader(_release(lines)), first_row, path, len(names),
                                 has_label, what)
+    except csv.Error as exc:
+        raise FormatError(f"{path}: not a readable CSV file: {exc}") from None
     return names, *table
 
 
 def read_feature_csv(path) -> FeatureMatrix:
     """Read a feature CSV written by `write_feature_csv`.
 
-    The header names the columns; a trailing `label` column, when
-    present, is parsed as the integer label vector. Rows are read by
-    `read_numeric_csv`, and errors count the header as row 1.
+    The header names the columns; a `label` column, when present, must
+    be the last and is parsed as the integer label vector. Rows are read
+    by `read_numeric_csv`, and errors count the header as row 1.
     """
     def layout(header):
         if header is None:
@@ -267,6 +258,8 @@ def read_feature_csv(path) -> FeatureMatrix:
         names = tuple(header[:-1] if has_label else header)
         if not names:
             raise FormatError(f"{path}: header has no feature columns")
+        if LABEL_COLUMN in names:
+            raise FormatError(f"{path}: {LABEL_COLUMN!r} must be the last column")
         return names, has_label, 2
 
     names, values, labels = read_numeric_csv(path, layout, "feature value")

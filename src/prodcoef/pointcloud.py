@@ -21,17 +21,14 @@ XYZ_COLUMNS = ("x", "y", "z")
 class PointCloud:
     """Ordered 3D points with optional integer class labels.
 
-    `bounds` always refers to the ORIGINAL coordinates (row 0 mins,
-    row 1 maxs), so the normalizing transform stays reconstructible
-    after the fact. Arrays are locked read-only: a cloud never mutates
-    and is safe to share across workers.
+    Arrays are locked read-only: a cloud never mutates and is safe to
+    share across workers.
     """
 
     xyz: np.ndarray
     labels: np.ndarray | None = None
     source: str = ""
     normalized: bool = False
-    bounds: np.ndarray | None = None
 
     def __post_init__(self):
         xyz = np.array(self.xyz, dtype=np.float64, copy=True)
@@ -48,18 +45,6 @@ class PointCloud:
                 raise ValidationError("labels must align one-to-one with points")
             labels.flags.writeable = False
             object.__setattr__(self, "labels", labels)
-
-        bounds = self.bounds
-        if bounds is None and len(xyz) > 0:
-            bounds = np.vstack([xyz.min(axis=0), xyz.max(axis=0)])
-        if bounds is not None:
-            bounds = np.array(bounds, dtype=np.float64, copy=True)
-            if bounds.shape != (2, 3):
-                raise ValidationError("bounds must be a (2, 3) min/max table")
-            if (bounds[0] > bounds[1]).any():
-                raise ValidationError("bounds min exceeds max")
-            bounds.flags.writeable = False
-        object.__setattr__(self, "bounds", bounds)
 
         if self.normalized and len(xyz) > 0:
             if xyz.min() < 0.0 or xyz.max() > 1.0:
@@ -103,13 +88,7 @@ def normalize_unit_cube(cloud: PointCloud, mode: str = "per-axis") -> PointCloud
         scale = span.max()
         out = np.full_like(cloud.xyz, 0.5) if scale == 0.0 else (cloud.xyz - mins) / scale
 
-    return PointCloud(
-        xyz=out,
-        labels=cloud.labels,
-        source=cloud.source,
-        normalized=True,
-        bounds=np.vstack([mins, maxs]),
-    )
+    return PointCloud(xyz=out, labels=cloud.labels, source=cloud.source, normalized=True)
 
 
 def read_csv(path, has_label: bool = False) -> PointCloud:

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import prodcoef
+import prodcoef.cli as cli_module
 from prodcoef.cli import build_parser, main
 from prodcoef.matrix import read_feature_csv
 
@@ -647,3 +649,55 @@ def test_manifest_records_digests(tmp_path, scene_csv):
     assert manifest["outputs"]["features.csv"].startswith("sha256:")
     assert manifest["config"]["radius"] == 0.3
     assert "threads" not in manifest["config"]
+
+
+@pytest.mark.parametrize("manifest, upstream", [
+    (None, None),
+    (b'{"config": {"radius": 0.3}}', {"radius": 0.3}),
+    (b"[1, 2]", None),
+    (b'{"config": 5}', None),
+    (b'{"config": [1]}', None),
+    (b'\xff\xfe{"config": {}}', None),
+    (b'{"config": {"radius": ', None),
+    (b"[" * 100_000 + b"]" * 100_000, None),
+], ids=["missing", "object", "list", "number config", "list config", "not utf-8",
+        "truncated", "deeply nested"])
+def test_upstream_is_an_object_config_or_null(tmp_path, scene_csv, manifest, upstream):
+    features = _features(tmp_path, scene_csv)
+    manifest_path = features.parent / "features.manifest.json"
+    if manifest is None:
+        manifest_path.unlink()
+    else:
+        manifest_path.write_bytes(manifest)
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--features", str(features), "--table", "1", "--folds", "2",
+                 "--trees", "2", "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report_t1_full_knn.json").read_text())
+    assert report["config"]["upstream"] == upstream
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--features", "{features}", "--table", "1", "--folds", "2", "--trees", "2"],
+    ["train", "--features", "{features}", "--classifier", "knn", "--components", "3"],
+    ["run", "--input", "{scene}", "--has-label", "--radius", "0.3", "--table", "1",
+     "--folds", "2", "--trees", "2"],
+    ["ingest", "--input", "{scene}", "--has-label"],
+], ids=["evaluate", "train knn", "run", "ingest"])
+def test_each_file_is_digested_once(tmp_path, scene_csv, monkeypatch, argv):
+    # run digests features.csv for the features manifest and reuses
+    # that digest as evaluate's input.
+    features = _features(tmp_path, scene_csv)
+    digested = []
+    digest = cli_module._digest
+
+    def counting_digest(path):
+        digested.append(Path(path).resolve())
+        return digest(path)
+
+    monkeypatch.setattr(cli_module, "_digest", counting_digest)
+    argv = [a.format(features=features, scene=scene_csv) for a in argv]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+    counts = Counter(digested)
+    assert Path(argv[2]).resolve() in counts
+    assert set(counts.values()) == {1}, counts
+

@@ -1,3 +1,4 @@
+import builtins
 import warnings
 
 import numpy as np
@@ -124,6 +125,44 @@ def test_csv_unreadable_text_names_file(tmp_path, content, reason):
     path.write_bytes(content)
     with pytest.raises(FormatError, match=f"m.csv: .*{reason}"):
         read_feature_csv(path)
+
+
+@pytest.mark.parametrize("header", ["label,a", "a,label,b", "a,label,label"])
+def test_label_column_not_last_names_file(tmp_path, header):
+    path = tmp_path / "m.csv"
+    path.write_text(f"{header}\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+    with pytest.raises(FormatError, match="m.csv: 'label' must be the last column"):
+        read_feature_csv(path)
+
+
+@pytest.mark.parametrize("read", [lambda p: read_csv(p, has_label=True).xyz,
+                                  lambda p: read_feature_csv(p).values],
+                         ids=["points", "features"])
+def test_declined_csv_is_opened_once(tmp_path, monkeypatch, read):
+    # np.loadtxt refuses the quoted cell and the 3.0 label, so the rows
+    # are parsed again, from the lines already read.
+    path = tmp_path / "m.csv"
+    path.write_text('x,y,z,label\n"0.5",1,2,3.0\n0.25,1,2,4\n')
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert read(path).tolist() == [[0.5, 1.0, 2.0], [0.25, 1.0, 2.0]]
+    assert opened.count(path) == 1
+
+
+def test_release_drops_each_line_once_yielded():
+    # The reference parse of a declined file must not hold every line
+    # next to every parsed row.
+    lines = ["a\n", "b\n", "c\n"]
+    seen = []
+    for line in matrix_module._release(lines):
+        seen.append((line, lines.count(None)))
+    assert seen == [("a\n", 1), ("b\n", 2), ("c\n", 3)]
 
 
 @pytest.mark.parametrize("feature, label, reason", [
