@@ -166,8 +166,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _run_features(args, out: Path) -> tuple[Path, str, FeatureMatrix]:
-    """Extract features.csv into `out`; returns its path, digest and matrix."""
+def _run_features(args, out: Path) -> tuple[Path, str, FeatureMatrix, dict]:
+    """Extract features.csv into `out`; returns its path, digest, matrix
+    and manifest config."""
     from .features import NeighborhoodSpec, extract_features
     from .matrix import write_feature_csv
     from .pointcloud import normalize_unit_cube
@@ -186,7 +187,7 @@ def _run_features(args, out: Path) -> tuple[Path, str, FeatureMatrix]:
                               {input_path.name: _digest(input_path)}, [features_path])
     log.info("features: %d rows in %.2fs -> %s",
              matrix.n_rows, time.perf_counter() - started, features_path)
-    return features_path, digests[features_path.name], matrix
+    return features_path, digests[features_path.name], matrix, config
 
 
 def cmd_features(args) -> int:
@@ -251,8 +252,6 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     features_path = Path(args.features)
     matrix = read_feature_csv(features_path)
-    if matrix.labels is None:
-        raise ValidationError("training requires a labeled feature file")
     features_digest = _digest(features_path)
 
     spec = _pipeline_spec(args, args.classifier, args.components)
@@ -324,10 +323,11 @@ def _table_components(args) -> tuple[int, int] | None:
 
 
 def _run_evaluate(args, out: Path, components: tuple[int, int] | None,
-                  features_path: Path, features_digest: str, matrix: FeatureMatrix) -> None:
+                  features_path: Path, features_digest: str, matrix: FeatureMatrix,
+                  upstream: dict | None) -> None:
     """Cross-validate `matrix`, the contents of `features_path` (whose
-    digest is `features_digest`), over `components` (see
-    _table_components)."""
+    digest is `features_digest` and whose features manifest config is
+    `upstream`), over `components` (see _table_components)."""
     from .evaluation import (
         ClassifierPipeline,
         CrossValPlan,
@@ -337,14 +337,11 @@ def _run_evaluate(args, out: Path, components: tuple[int, int] | None,
     )
 
     started = time.perf_counter()
-    if matrix.labels is None:
-        raise ValidationError("evaluation requires a labeled feature file")
-
     plan = CrossValPlan(folds=args.folds, seed=args.seed, stratified=True)
     base_config = {
         "features_file": features_path.name,
         "features_digest": features_digest,
-        "upstream": _upstream_config(features_path),
+        "upstream": upstream,
         "seed": args.seed,
     }
 
@@ -403,15 +400,15 @@ def cmd_evaluate(args) -> int:
     features_path = Path(args.features)
     matrix = read_feature_csv(features_path)
     _run_evaluate(args, _out_dir(args), components, features_path,
-                  _digest(features_path), matrix)
+                  _digest(features_path), matrix, _upstream_config(features_path))
     return 0
 
 
 def cmd_run(args) -> int:
     components = _table_components(args)
     out = _out_dir(args)
-    # repr round-trips every float, so the matrix in memory equals what
-    # reading features.csv back would give.
+    # repr and JSON round-trip every float, so the matrix and config in
+    # memory equal what evaluate reads back from features.csv and its manifest.
     _run_evaluate(args, out, components, *_run_features(args, out))
     return 0
 

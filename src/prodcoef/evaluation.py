@@ -18,7 +18,9 @@ for any worker count.
 
 from __future__ import annotations
 
+import csv
 import gc
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -473,15 +475,11 @@ def _classifier_grid(header, key, rows, reports) -> tuple[str, str]:
 
 
 def _tables(header: tuple[str, ...], rows) -> tuple[str, str]:
-    csv_lines = [",".join(header)]
-    for row in rows:
-        csv_lines.append(",".join(f'"{cell}"' if "," in cell else cell for cell in row))
-    csv_text = "\n".join(csv_lines) + "\n"
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+    csv_text = buffer.getvalue()
 
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
     def fmt(cells):
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
     text_lines = [fmt(header), fmt(["-" * w for w in widths])]

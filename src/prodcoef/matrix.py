@@ -1,9 +1,11 @@
-"""Row-per-point numeric feature table with column provenance."""
+"""Row-per-point numeric table with column provenance; `FeatureMatrix`
+holds the one table rule for points and features."""
 
 from __future__ import annotations
 
 import csv
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +24,8 @@ _WRITE_ROWS = 4096
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Immutable (rows x cols) float64 table with named columns.
+    """Immutable (rows x cols) float64 copy of finite values under
+    distinct column names, `label` reserved.
 
     `labels`, when present, aligns one integer class code to each row
     and rides along through transforms and CSV round trips.
@@ -37,7 +40,7 @@ class FeatureMatrix:
         if values.ndim != 2:
             raise ValidationError(f"expected a 2-D table, got shape {values.shape}")
         if not np.isfinite(values).all():
-            raise ValidationError("feature values must be finite")
+            raise ValidationError("values must be finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -48,6 +51,9 @@ class FeatureMatrix:
             )
         if LABEL_COLUMN in names:
             raise ValidationError(f"{LABEL_COLUMN!r} is reserved for the label vector")
+        if len(set(names)) < len(names):
+            repeated = next(n for n, count in Counter(names).items() if count > 1)
+            raise ValidationError(f"column {repeated!r} is named twice")
         object.__setattr__(self, "column_names", names)
 
         if self.labels is not None:
@@ -248,8 +254,9 @@ def read_feature_csv(path) -> FeatureMatrix:
     """Read a feature CSV written by `write_feature_csv`.
 
     The header names the columns; a `label` column, when present, must
-    be the last and is parsed as the integer label vector. Rows are read
-    by `read_numeric_csv`, and errors count the header as row 1.
+    be the last and is parsed as the integer label vector; a name given
+    twice is a FormatError. Rows are read by `read_numeric_csv`, and
+    errors count the header as row 1.
     """
     def layout(header):
         if header is None:
@@ -260,6 +267,10 @@ def read_feature_csv(path) -> FeatureMatrix:
             raise FormatError(f"{path}: header has no feature columns")
         if LABEL_COLUMN in names:
             raise FormatError(f"{path}: {LABEL_COLUMN!r} must be the last column")
+        try:
+            FeatureMatrix(np.empty((0, len(names))), names)  # the column rules
+        except ValidationError as exc:
+            raise FormatError(f"{path}: {exc}") from None
         return names, has_label, 2
 
     names, values, labels = read_numeric_csv(path, layout, "feature value")

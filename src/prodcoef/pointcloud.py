@@ -1,7 +1,9 @@
 """Point cloud container, CSV ingest, and unit-cube normalization.
 
-Point CSVs share the feature CSV's on-disk format and its reader in
-`prodcoef.matrix`; only the optional header is particular to points.
+A cloud is checked and frozen as a `prodcoef.matrix.FeatureMatrix`, and
+point CSVs share the feature CSV's format and reader; only the (n, 3)
+shape, the normalized range and the optional header are particular to
+points.
 """
 
 from __future__ import annotations
@@ -31,24 +33,15 @@ class PointCloud:
     normalized: bool = False
 
     def __post_init__(self):
-        xyz = np.array(self.xyz, dtype=np.float64, copy=True)
-        if xyz.ndim != 2 or xyz.shape[1] != 3:
-            raise ValidationError(f"expected (n, 3) coordinates, got shape {xyz.shape}")
-        if not np.isfinite(xyz).all():
-            raise ValidationError("coordinates must be finite (no NaN/Inf)")
-        xyz.flags.writeable = False
+        shape = np.shape(self.xyz)
+        if len(shape) != 2 or shape[1] != 3:
+            raise ValidationError(f"expected (n, 3) coordinates, got shape {shape}")
+        table = FeatureMatrix(self.xyz, XYZ_COLUMNS, self.labels)
+        xyz = table.values
+        if self.normalized and len(xyz) and (xyz.min() < 0.0 or xyz.max() > 1.0):
+            raise ValidationError("normalized cloud has coordinates outside [0,1]")
         object.__setattr__(self, "xyz", xyz)
-
-        if self.labels is not None:
-            labels = np.array(self.labels, dtype=np.int64, copy=True)
-            if labels.shape != (len(xyz),):
-                raise ValidationError("labels must align one-to-one with points")
-            labels.flags.writeable = False
-            object.__setattr__(self, "labels", labels)
-
-        if self.normalized and len(xyz) > 0:
-            if xyz.min() < 0.0 or xyz.max() > 1.0:
-                raise ValidationError("normalized cloud has coordinates outside [0,1]")
+        object.__setattr__(self, "labels", table.labels)
 
     def __len__(self) -> int:
         return len(self.xyz)

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -222,6 +223,28 @@ def test_evaluate_requires_labels(tmp_path):
     ]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--classifier", "knn"],
+    ["train", "--classifier", "knn", "--components", "3"],
+    ["train", "--classifier", "rf", "--trees", "2"],
+    ["evaluate", "--table", "1", "--folds", "2", "--trees", "2"],
+    ["evaluate", "--table", "2", "--components", "3", "--folds", "2", "--trees", "2"],
+], ids=["train knn", "train pca knn", "train rf", "evaluate table 1", "evaluate table 2"])
+def test_unlabeled_features_give_validation_exit_and_no_files(tmp_path, capsys, argv):
+    # The classifiers and cross-validation refuse unlabeled rows before
+    # any output is written.
+    points = tmp_path / "plain.csv"
+    points.write_text("x,y,z\n" + "\n".join(f"0.{i},0.{i},0.{i}" for i in range(1, 9)) + "\n")
+    assert main(["features", "--input", str(points), "--radius", "0.5",
+                 "--out-dir", str(tmp_path / "uf")]) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([argv[0], "--features", str(tmp_path / "uf" / "features.csv"), *argv[1:],
+                 "--out-dir", str(out)]) == 1
+    assert "label" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_run_equals_staged_pipeline_byte_for_byte(tmp_path, scene_csv):
     staged = tmp_path / "staged"
     oneshot = tmp_path / "oneshot"
@@ -261,6 +284,28 @@ def test_run_evaluates_the_matrix_it_extracted(tmp_path, scene_csv, monkeypatch)
         raise AssertionError(f"run re-read {path}")
 
     monkeypatch.setattr("prodcoef.matrix.read_feature_csv", no_reread)
+    oneshot = tmp_path / "oneshot"
+    assert main([
+        "run", "--input", str(scene_csv), "--has-label", "--radius", "0.3",
+        "--table", "1", "--folds", "3", "--trees", "4", "--out-dir", str(oneshot),
+    ]) == 0
+    _same_files(staged, oneshot)
+
+
+def test_run_takes_upstream_from_memory(tmp_path, scene_csv, monkeypatch):
+    # run hands evaluate the config it wrote to features.manifest.json;
+    # only evaluate reads that manifest back.
+    staged = tmp_path / "staged"
+    features = _features(tmp_path, scene_csv, "staged")
+    assert main([
+        "evaluate", "--features", str(features), "--table", "1", "--folds", "3",
+        "--trees", "4", "--out-dir", str(staged),
+    ]) == 0
+
+    def no_reread(path):
+        raise AssertionError(f"run re-read the manifest beside {path}")
+
+    monkeypatch.setattr(cli_module, "_upstream_config", no_reread)
     oneshot = tmp_path / "oneshot"
     assert main([
         "run", "--input", str(scene_csv), "--has-label", "--radius", "0.3",
@@ -532,6 +577,22 @@ def test_unreadable_report_gives_io_exit(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert "cannot read report" in err and "report_t2_n03_knn.json" in err
     assert "Traceback" not in err
+
+
+def test_report_table_csv_quotes_any_title(tmp_path):
+    # A comma, a quote or a line break in a feature set's name stays in
+    # its one CSV cell.
+    names = ['a"b,c', "x\ny"]
+    paths = []
+    for i, name in enumerate(names):
+        config = {"classifier": "knn", "feature_set": name}
+        paths.append(tmp_path / f"report_t1_{i}_knn.json")
+        paths[-1].write_text(_report_with(config=config))
+    assert main(["report", *map(str, paths), "--out-dir", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "table1.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows == [["features", "knn_f1", "rf_f1"],
+                    *([name, "0.75 (± 0.25)", ""] for name in names)]
 
 
 def test_report_reproduces_evaluate_table1(tmp_path, scene_csv):

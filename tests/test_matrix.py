@@ -135,6 +135,21 @@ def test_label_column_not_last_names_file(tmp_path, header):
         read_feature_csv(path)
 
 
+def test_repeated_column_name_is_refused():
+    with pytest.raises(ValidationError, match="column 'x' is named twice"):
+        FeatureMatrix([[1.0, 2.0, 3.0]], ("x", "y", "x"))
+
+
+@pytest.mark.parametrize("header", ["x,y,x,label", "y,x,z,x"])
+def test_repeated_column_names_file(tmp_path, monkeypatch, header):
+    # The header is refused before any row is parsed.
+    path = tmp_path / "m.csv"
+    path.write_text(f"{header}\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+    monkeypatch.setattr(matrix_module, "_load_rows", None)
+    with pytest.raises(FormatError, match="m.csv: column 'x' is named twice"):
+        read_feature_csv(path)
+
+
 @pytest.mark.parametrize("read", [lambda p: read_csv(p, has_label=True).xyz,
                                   lambda p: read_feature_csv(p).values],
                          ids=["points", "features"])

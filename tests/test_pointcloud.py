@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prodcoef.pointcloud as pointcloud_module
 from prodcoef.errors import FormatError, ValidationError
+from prodcoef.matrix import FeatureMatrix
 from prodcoef.pointcloud import PointCloud, normalize_unit_cube, read_csv, write_csv
 
 
@@ -187,6 +189,33 @@ def test_cloud_rejects_non_finite():
 def test_cloud_label_alignment():
     with pytest.raises(ValidationError):
         PointCloud(xyz=[[0, 0, 0]], labels=[1, 2])
+
+
+@pytest.mark.parametrize("xyz, labels, names", [
+    ([[0, 0, np.nan]], None, ("x", "y", "z")),
+    ([[0, np.inf, 0]], None, ("x", "y", "z")),
+    (np.zeros(3), None, ("x", "y", "z")),
+    ([[0, 0, 0]], [1, 2], ("x", "y", "z")),
+    ([[0, 0, 0]], None, ("x", "y", "x")),
+], ids=["nan", "inf", "1-D", "labels too long", "repeated name"])
+def test_points_and_features_share_one_table_rule(monkeypatch, xyz, labels, names):
+    with pytest.raises(ValidationError):
+        FeatureMatrix(xyz, names, labels)
+    # A cloud's columns are XYZ_COLUMNS, read when it is built.
+    monkeypatch.setattr(pointcloud_module, "XYZ_COLUMNS", names)
+    with pytest.raises(ValidationError):
+        PointCloud(xyz=xyz, labels=labels)
+
+
+def test_cloud_arrays_are_read_only_copies():
+    xyz, labels = np.zeros((2, 3)), np.array([1, 2])
+    cloud = PointCloud(xyz=xyz, labels=labels)
+    xyz[0, 0], labels[0] = 5.0, 7
+    assert cloud.xyz[0, 0] == 0.0 and cloud.labels[0] == 1
+    with pytest.raises(ValueError):
+        cloud.xyz[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        cloud.labels[0] = 3
 
 
 @settings(max_examples=50, deadline=None)
