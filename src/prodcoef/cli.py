@@ -332,7 +332,6 @@ def _run_evaluate(args, out: Path, components: tuple[int, int] | None,
         ClassifierPipeline,
         CrossValPlan,
         cross_validate_many,
-        render_report,
         report_to_json,
     )
 
@@ -376,10 +375,7 @@ def _run_evaluate(args, out: Path, components: tuple[int, int] | None,
     for path, report in zip(outputs, reports):
         path.write_text(report_to_json(report) + "\n")
 
-    for name, text in render_report(reports).items():
-        path = out / TABLE_FILES[name]
-        path.write_text(text)
-        outputs.append(path)
+    outputs.extend(_write_tables(out, reports))
 
     config = {
         "features": features_path.name,
@@ -413,8 +409,20 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _write_tables(out: Path, reports) -> list[Path]:
+    """Render `reports` (see render_report) and write each table into
+    `out`; nothing is written when rendering fails."""
+    from .evaluation import render_report
+
+    paths = []
+    for name, text in render_report(reports).items():
+        paths.append(out / TABLE_FILES[name])
+        paths[-1].write_text(text)
+    return paths
+
+
 def cmd_report(args) -> int:
-    from .evaluation import render_report, report_from_json
+    from .evaluation import report_from_json
 
     out = _out_dir(args)
     reports = []
@@ -422,19 +430,16 @@ def cmd_report(args) -> int:
         path = Path(path_text)
         try:
             reports.append(report_from_json(path.read_text()))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             # ValueError covers bytes that are not UTF-8, text that is not
             # JSON and fields of the wrong type; KeyError and TypeError
-            # other JSON that is not a report.
+            # other JSON that is not a report; RecursionError JSON nested
+            # too deep to parse.
             raise FormatError(
                 f"cannot read report {path}: {type(exc).__name__}: {exc}"
             ) from None
-    if not reports:
-        raise ValidationError("no reports given")
-    artifacts = {TABLE_FILES[name]: text for name, text in render_report(reports).items()}
-    for name, text in artifacts.items():
-        (out / name).write_text(text)
-    log.info("report: wrote %s", ", ".join(sorted(artifacts)))
+    paths = _write_tables(out, reports)
+    log.info("report: wrote %s", ", ".join(sorted(p.name for p in paths)))
     return 0
 
 

@@ -24,7 +24,6 @@ inverse wherever parent masses are positive.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,24 +293,3 @@ def haar_value(node: int, leaf: int, depth: int) -> int:
         if cur == node:
             return 1 if prev == 2 * node else -1
     return 0
-
-
-def coefficient_tree_to_json(coeffs: CoefficientTree) -> str:
-    """Serialize as {"depth", "root_mass", "a": [level-order]}."""
-    payload = {
-        "depth": coeffs.depth,
-        "root_mass": coeffs.root_mass,
-        "a": [float(v) for v in coeffs.level_order],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def coefficient_tree_from_json(text: str) -> CoefficientTree:
-    payload = json.loads(text)
-    tree = CoefficientTree.from_level_order(payload["root_mass"], payload["a"])
-    if tree.depth != payload["depth"]:
-        raise ConsistencyError(
-            f"declared depth {payload['depth']} does not match "
-            f"{len(payload['a'])} coefficients"
-        )
-    return tree

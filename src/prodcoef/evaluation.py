@@ -14,6 +14,12 @@ matrix. Each worker holds one fold's model at a time. Every F1 and report
 is read from those matrices in job order, so reports are the same bytes
 for any worker count.
 `cross_validate` is its one-run, in-process case.
+
+`render_report` turns reports into the paper's tables: it maps each
+knn or rf report to its cell of table 1 (feature set by classifier) or
+table 2 (component count by classifier), then writes both tables and
+the plot CSV from that map, sorted so that the report order does not
+matter.
 """
 
 from __future__ import annotations
@@ -424,93 +430,74 @@ def report_from_json(text: str) -> EvaluationReport:
     )
 
 
-def format_cell(mean: float, std: float) -> str:
-    return f"{mean:.2f} (± {std:.2f})"
-
-
 _FEATURE_SET_TITLES = {
     "xyz": "Original features (x,y,z)",
     "full": "With product coefficients",
 }
+_CLASSIFIERS = ("knn", "rf")
 
 
-def render_feature_table(reports) -> tuple[str, str]:
-    """CSV and aligned-text table: rows per feature set, KNN/RF columns.
-
-    Known feature sets come in _FEATURE_SET_TITLES order (xyz, full),
-    then any other set in the order its first report arrives, so a
-    table of the standard sets does not depend on the report order.
-    """
-    seen = [r.config.get("feature_set") for r in reports]
-    feature_sets = [fs for fs in _FEATURE_SET_TITLES if fs in seen]
-    for fs in seen:
-        if fs and fs not in feature_sets:
-            feature_sets.append(fs)
-    rows = [(_FEATURE_SET_TITLES.get(fs, fs), fs) for fs in feature_sets]
-    return _classifier_grid(("features", "knn_f1", "rf_f1"), "feature_set", rows, reports)
-
-
-def render_components_table(reports) -> tuple[str, str]:
-    """CSV and aligned-text table: one row per component count."""
-    counts = sorted(
-        {r.config.get("n_components") for r in reports if r.config.get("n_components")}
-    )
-    rows = [(str(n), n) for n in counts]
-    return _classifier_grid(("n_components", "knn_f1", "rf_f1"), "n_components", rows, reports)
-
-
-def _classifier_grid(header, key, rows, reports) -> tuple[str, str]:
-    """Tables with one line per (title, value) row; its KNN and RF cells show
-    the first report with that value under `key` and that classifier."""
-    values = [value for _, value in rows]
-    cells = {}
-    for report in reports:
-        value, clf = report.config.get(key), report.config.get("classifier")
-        if clf in ("knn", "rf") and value in values:
-            at = (values.index(value), clf)
-            if at not in cells:
-                cells[at] = format_cell(report.mean_f1, report.std_f1)
-    return _tables(header, [(title, cells.get((i, "knn"), ""), cells.get((i, "rf"), ""))
-                            for i, (title, _) in enumerate(rows)])
-
-
-def _tables(header: tuple[str, ...], rows) -> tuple[str, str]:
+def _csv(rows) -> str:
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
-    csv_text = buffer.getvalue()
-
-    widths = [max(map(len, column)) for column in zip(header, *rows)]
-    def fmt(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    text_lines = [fmt(header), fmt(["-" * w for w in widths])]
-    text_lines.extend(fmt(row) for row in rows)
-    return csv_text, "\n".join(text_lines) + "\n"
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
-def render_plot_csv(reports) -> str:
-    """Plot-ready long format: n,classifier,mean_f1,std_f1."""
-    lines = ["n,classifier,mean_f1,std_f1"]
-    keyed = []
-    for report in reports:
-        n = report.config.get("n_components")
-        if n is None:
-            continue
-        keyed.append((int(n), report.config.get("classifier", ""), report))
-    for n, clf, report in sorted(keyed, key=lambda t: (t[0], t[1])):
-        lines.append(f"{n},{clf},{report.mean_f1!r},{report.std_f1!r}")
-    return "\n".join(lines) + "\n"
+def _table(first_column: str, rows, cells) -> tuple[str, str]:
+    """CSV and aligned text of one table: a line per (title, row) of
+    `rows`, with the KNN and RF cells from `cells` ({(row, classifier):
+    report}), empty where no report fills one."""
+    def cell(report):
+        return "" if report is None else f"{report.mean_f1:.2f} (± {report.std_f1:.2f})"
+    header = (first_column, *(f"{clf}_f1" for clf in _CLASSIFIERS))
+    lines = [(title, *(cell(cells.get((row, clf))) for clf in _CLASSIFIERS))
+             for title, row in rows]
+    widths = [max(map(len, column)) for column in zip(header, *lines)]
+    def fmt(line):
+        return "  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip()
+    text = [fmt(header), fmt(["-" * w for w in widths]), *map(fmt, lines)]
+    return _csv([header, *lines]), "\n".join(text) + "\n"
 
 
 def render_report(reports) -> dict[str, str]:
-    """All table artifacts derivable from a report collection."""
+    """Table 1, table 2 and the plot CSV of a report collection.
+
+    A report whose classifier is knn or rf fills table 1's cell
+    (feature_set, classifier) where its feature_set is set, and table
+    2's cell (n_components, classifier) plus one plot line where its
+    n_components is set; a report of any other or no classifier fills no
+    cell. Table 1 lists xyz, then full, then other feature sets by name;
+    table 2 and the plot go by n_components, knn before rf, so no output
+    depends on the report order. Two reports for one cell, or reports
+    that fill no cell, raise ValidationError.
+    """
+    features, components = {}, {}
+    for report in reports:
+        clf = report.config.get("classifier")
+        if clf not in _CLASSIFIERS:
+            continue
+        for cells, key in ((features, "feature_set"), (components, "n_components")):
+            row = report.config.get(key)
+            if row:
+                if (row, clf) in cells:
+                    raise ValidationError(f"two reports for the table cell {key} {row!r}, "
+                                          f"classifier {clf}")
+                cells[row, clf] = report
+    if not features and not components:
+        raise ValidationError("no report fills a table cell: each needs classifier "
+                              "knn or rf and a feature_set or n_components")
+
     artifacts: dict[str, str] = {}
-    if any(r.config.get("feature_set") for r in reports):
-        csv_text, table_text = render_feature_table(reports)
-        artifacts["table_features.csv"] = csv_text
-        artifacts["table_features.txt"] = table_text
-    if any(r.config.get("n_components") for r in reports):
-        csv_text, table_text = render_components_table(reports)
-        artifacts["table_components.csv"] = csv_text
-        artifacts["table_components.txt"] = table_text
-        artifacts["plot_components.csv"] = render_plot_csv(reports)
+    if features:
+        names = sorted({fs for fs, _ in features}, key=lambda fs: (fs != "xyz", fs != "full", fs))
+        artifacts["table_features.csv"], artifacts["table_features.txt"] = _table(
+            "features", [(_FEATURE_SET_TITLES.get(fs, fs), fs) for fs in names], features)
+    if components:
+        counts = sorted({n for n, _ in components})
+        artifacts["table_components.csv"], artifacts["table_components.txt"] = _table(
+            "n_components", [(str(n), n) for n in counts], components)
+        artifacts["plot_components.csv"] = _csv([
+            ("n", "classifier", "mean_f1", "std_f1"),
+            *((n, clf, r.mean_f1, r.std_f1) for (n, clf), r in sorted(components.items())),
+        ])
     return artifacts

@@ -161,7 +161,7 @@ def _gini(counts: np.ndarray, total: int) -> float:
 
 
 def _best_split(columns: np.ndarray, rows: np.ndarray, table: np.ndarray,
-                totals: np.ndarray, features: np.ndarray, wide: bool):
+                totals: np.ndarray, features: list[int], wide: bool):
     """Best (feature, cut, threshold, left totals) by Gini gain over the
     sampled features of one node.
 
@@ -178,6 +178,7 @@ def _best_split(columns: np.ndarray, rows: np.ndarray, table: np.ndarray,
     so the first argmax hit is the lowest threshold.
     """
     n = totals[-1]
+    features = np.array(features)
     order = rows[features]
     xs = columns[features[:, None], order]
     cum = np.cumsum(table.take(order, axis=0), axis=1)
@@ -218,7 +219,7 @@ _SMALL_NODE_ROWS = 16
 
 def _small_best_split(column_views: list[memoryview], rows: np.ndarray,
                       y_view: memoryview, weight_view: memoryview,
-                      totals: np.ndarray, features: np.ndarray):
+                      totals: np.ndarray, features: list[int]):
     """_best_split's result, from one Python walk per sampled feature.
 
     `column_views` holds a memoryview of each column (row of the
@@ -239,7 +240,7 @@ def _small_best_split(column_views: list[memoryview], rows: np.ndarray,
     inf = math.inf
     best_gain = 0.0
     best = None
-    for feature, order in zip(features.tolist(), rows.take(features, axis=0).tolist()):
+    for feature, order in zip(features, rows.take(features, axis=0).tolist()):
         x = column_views[feature]
         left = [0] * len(class_totals)
         n_left = sumsq_left = 0
@@ -276,9 +277,9 @@ def _small_best_split(column_views: list[memoryview], rows: np.ndarray,
 
 
 class _CandidateDraws:
-    """Sorted candidate features per split search, equal to
-    np.sort(rng.choice(d, m, replace=False)) with m = ceil(sqrt(d)),
-    call after call.
+    """Sorted candidate features per split search, as a list equal to
+    np.sort(rng.choice(d, m, replace=False)).tolist() with
+    m = ceil(sqrt(d)), call after call.
 
     It reads the generator's uint32 stream as PCG64's next_uint32 does:
     the buffered high half first when `has_uint32` is set, then each
@@ -325,7 +326,7 @@ class _CandidateDraws:
             halves[:, 1] = words >> 32
             yield from halves.ravel().tolist()
 
-    def draw(self) -> np.ndarray:
+    def draw(self) -> list[int]:
         next_u32 = self._next
         kept = {0} if self._keeps_zero else set()
         for j, span, threshold in self._floyd:
@@ -337,7 +338,7 @@ class _CandidateDraws:
         for span, threshold in self._shuffle:
             while next_u32() * span & 0xFFFFFFFF < threshold:
                 pass
-        return np.array(sorted(kept))
+        return sorted(kept)
 
 
 def _build_tree(columns: np.ndarray, order: np.ndarray, wide: bool, y: np.ndarray,

@@ -508,12 +508,18 @@ def test_report_rerenders_tables(tmp_path, scene_csv):
         "--components", "3", "--folds", "3", "--trees", "5",
         "--out-dir", str(eval_out),
     ]) == 0
-    report_out = tmp_path / "rerender"
     reports = sorted(str(p) for p in eval_out.glob("report_*.json"))
-    assert main(["report", *reports, "--out-dir", str(report_out)]) == 0
-    rendered = (report_out / "table2.csv").read_text()
-    original = (eval_out / "table2.csv").read_text()
-    assert rendered == original
+    for i, order in enumerate((reports, reports[::-1])):
+        report_out = tmp_path / f"rerender{i}"
+        assert main(["report", *order, "--out-dir", str(report_out)]) == 0
+        _same_tables(report_out, eval_out, ["plot_table2.csv", "table2.csv", "table2.txt"])
+
+
+def _same_tables(rendered, evaluated, names):
+    # report writes exactly `names`, each with evaluate's bytes.
+    assert sorted(p.name for p in rendered.iterdir()) == names
+    for name in names:
+        assert (rendered / name).read_bytes() == (evaluated / name).read_bytes(), name
 
 
 _GOOD_REPORT = {
@@ -565,9 +571,10 @@ def test_well_typed_report_renders(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "not json\n", '{"mean_f1": 0.5}\n', "[]\n",
+    [None, "not json\n", '{"mean_f1": 0.5}\n', "[]\n", "[" * 200_000,
      *(_report_with(**fields) for fields in _BAD_REPORT_FIELDS.values())],
-    ids=["missing", "not json", "no per_fold_f1", "json list", *_BAD_REPORT_FIELDS],
+    ids=["missing", "not json", "no per_fold_f1", "json list", "nested too deep",
+         *_BAD_REPORT_FIELDS],
 )
 def test_unreadable_report_gives_io_exit(tmp_path, capsys, content):
     path = tmp_path / "report_t2_n03_knn.json"
@@ -577,6 +584,38 @@ def test_unreadable_report_gives_io_exit(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert "cannot read report" in err and "report_t2_n03_knn.json" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("classifier", ["a,b", None])
+def test_report_ignores_other_classifiers(tmp_path, classifier):
+    # Only knn and rf reports fill cells: the same files come out as
+    # from the knn report alone.
+    paths = [tmp_path / "knn.json", tmp_path / "other.json"]
+    paths[0].write_text(_report_with())
+    paths[1].write_text(_report_with(
+        config={**_GOOD_REPORT["config"], "classifier": classifier}))
+    assert main(["report", *map(str, paths), "--out-dir", str(tmp_path / "both")]) == 0
+    assert main(["report", str(paths[0]), "--out-dir", str(tmp_path / "knn")]) == 0
+    _same_files(tmp_path / "both", tmp_path / "knn")
+    assert (tmp_path / "knn" / "plot_table2.csv").read_text() == (
+        "n,classifier,mean_f1,std_f1\n3,knn,0.75,0.25\n")
+
+
+@pytest.mark.parametrize("configs, error", [
+    ([{"classifier": "knn", "n_components": 3}] * 2, "two reports"),
+    ([{"classifier": "knn", "feature_set": "xyz"}] * 2, "two reports"),
+    ([{"classifier": None, "n_components": 3}, {"classifier": "knn"}], "no report fills"),
+], ids=["table 2 cell twice", "table 1 cell twice", "no cell"])
+def test_report_cell_twice_or_no_cell_gives_validation_exit_and_no_files(
+        tmp_path, capsys, configs, error):
+    paths = []
+    for i, config in enumerate(configs):
+        paths.append(tmp_path / f"report_{i}.json")
+        paths[-1].write_text(_report_with(config=config))
+    out = tmp_path / "out"
+    assert main(["report", *map(str, paths), "--out-dir", str(out)]) == 1
+    assert error in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_report_table_csv_quotes_any_title(tmp_path):
@@ -602,13 +641,14 @@ def test_report_reproduces_evaluate_table1(tmp_path, scene_csv):
         "evaluate", "--features", str(features), "--table", "1",
         "--folds", "3", "--trees", "5", "--out-dir", str(eval_out),
     ]) == 0
-    report_out = tmp_path / "rerender"
-    # As a shell glob expands report_t1_*.json: full before xyz.
+    # As a shell glob expands report_t1_*.json (full before xyz), and
+    # reversed (rf before knn).
     reports = sorted(str(p) for p in eval_out.glob("report_t1_*.json"))
     assert "full" in reports[0]
-    assert main(["report", *reports, "--out-dir", str(report_out)]) == 0
-    for name in ("table1.csv", "table1.txt"):
-        assert (report_out / name).read_bytes() == (eval_out / name).read_bytes()
+    for i, order in enumerate((reports, reports[::-1])):
+        report_out = tmp_path / f"rerender{i}"
+        assert main(["report", *order, "--out-dir", str(report_out)]) == 0
+        _same_tables(report_out, eval_out, ["table1.csv", "table1.txt"])
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +6,6 @@ from hypothesis import strategies as st
 from prodcoef.dyadic import (
     CoefficientTree,
     DyadicTree,
-    coefficient_tree_from_json,
-    coefficient_tree_to_json,
     coefficients_from_measure,
     haar_value,
     measure_from_coefficients,
@@ -229,20 +225,3 @@ class TestTreeConstruction:
         tree = DyadicTree.from_leaf_masses([1, 1])
         with pytest.raises(ValueError):
             tree.node_measure[1] = 5.0
-
-
-class TestJson:
-    def test_round_trip(self):
-        coeffs = CoefficientTree.from_level_order(2.5, [0.25, -0.75, 1.0])
-        text = coefficient_tree_to_json(coeffs)
-        payload = json.loads(text)
-        assert payload["depth"] == 2
-        assert payload["root_mass"] == 2.5
-        assert payload["a"] == [0.25, -0.75, 1.0]
-        back = coefficient_tree_from_json(text)
-        assert back.level_order.tolist() == coeffs.level_order.tolist()
-        assert back.root_mass == coeffs.root_mass
-
-    def test_depth_mismatch_rejected(self):
-        with pytest.raises(ConsistencyError):
-            coefficient_tree_from_json('{"depth": 3, "root_mass": 1.0, "a": [0.0]}')

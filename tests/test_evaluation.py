@@ -19,11 +19,7 @@ from prodcoef.evaluation import (
     cross_validate_many,
     f1_score,
     fold_assignment,
-    format_cell,
     macro_f1,
-    render_components_table,
-    render_feature_table,
-    render_plot_csv,
     render_report,
     report_from_json,
     report_to_json,
@@ -440,17 +436,30 @@ def _report(mean, std, **config):
     )
 
 
+# Both tables' reports, an extra feature set, and two reports that fill
+# no cell.
+_MIXED_REPORTS = [
+    *(_report(0.1 * i, 0.01 * i, feature_set=fs, classifier=clf)
+      for i, (fs, clf) in enumerate([("xyz", "knn"), ("xyz", "rf"), ("full", "knn"),
+                                     ("full", "rf"), ("extra", "rf")])),
+    *(_report(0.5 + 0.01 * n, 0.02, n_components=n, classifier=clf)
+      for n in (3, 4, 10) for clf in ("knn", "rf")),
+    _report(0.9, 0.1, n_components=3, classifier=None),
+    _report(0.9, 0.1, feature_set="xyz", classifier="svm"),
+]
+
+
 class TestRendering:
     def test_cell_format(self):
-        assert format_cell(0.85, 0.02) == "0.85 (± 0.02)"
+        tables = render_report([_report(0.85, 0.02, n_components=3, classifier="rf")])
+        assert tables["table_components.csv"].splitlines()[1] == "3,,0.85 (± 0.02)"
 
     def test_single_row_feature_table(self):
         reports = [
             _report(0.33, 0.18, feature_set="xyz", classifier="knn"),
             _report(0.41, 0.16, feature_set="xyz", classifier="rf"),
         ]
-        csv_text, text = render_feature_table(reports)
-        lines = csv_text.strip().split("\n")
+        lines = render_report(reports)["table_features.csv"].strip().split("\n")
         assert lines[0] == "features,knn_f1,rf_f1"
         assert len(lines) == 2
         assert "0.33 (± 0.18)" in lines[1]
@@ -462,20 +471,21 @@ class TestRendering:
             _report(0.41, 0.16, feature_set="xyz", classifier="rf"),
             _report(0.52, 0.11, feature_set="full", classifier="knn"),
             _report(0.61, 0.09, feature_set="full", classifier="rf"),
+            _report(0.20, 0.05, feature_set="zeta", classifier="knn"),
             _report(0.20, 0.05, feature_set="extra", classifier="knn"),
         ]
-        csv_text, text = render_feature_table(reports)
-        assert render_feature_table(reports[::-1]) == (csv_text, text)
-        rows = [row[0] for row in csv.reader(csv_text.splitlines()[1:])]
-        assert rows == ["Original features (x,y,z)", "With product coefficients", "extra"]
+        tables = render_report(reports)
+        assert render_report(reports[::-1]) == tables
+        rows = [row[0] for row in csv.reader(tables["table_features.csv"].splitlines()[1:])]
+        assert rows == ["Original features (x,y,z)", "With product coefficients",
+                        "extra", "zeta"]
 
     def test_components_table_has_eight_rows(self):
         reports = []
         for n in range(3, 11):
             reports.append(_report(0.1 * n, 0.01, n_components=n, classifier="knn"))
             reports.append(_report(0.09 * n, 0.02, n_components=n, classifier="rf"))
-        csv_text, text = render_components_table(reports)
-        lines = csv_text.strip().split("\n")
+        lines = render_report(reports)["table_components.csv"].strip().split("\n")
         assert len(lines) == 9  # header + one row per component count
         assert lines[1].startswith("3,")
         assert lines[-1].startswith("10,")
@@ -483,12 +493,12 @@ class TestRendering:
     def test_plot_csv_sorted_long_format(self):
         reports = [
             _report(0.5, 0.1, n_components=4, classifier="rf"),
-            _report(0.6, 0.1, n_components=3, classifier="knn"),
+            _report(0.6, 0.1, n_components=3, classifier="rf"),
+            _report(0.7, 0.1, n_components=3, classifier="knn"),
         ]
-        lines = render_plot_csv(reports).strip().split("\n")
-        assert lines[0] == "n,classifier,mean_f1,std_f1"
-        assert lines[1].startswith("3,knn")
-        assert lines[2].startswith("4,rf")
+        lines = render_report(reports)["plot_components.csv"].strip().split("\n")
+        assert lines == ["n,classifier,mean_f1,std_f1", "3,knn,0.7,0.1", "3,rf,0.6,0.1",
+                         "4,rf,0.5,0.1"]
 
     def test_render_report_dispatch(self):
         feature_reports = [_report(0.4, 0.1, feature_set="xyz", classifier="knn")]
@@ -499,3 +509,12 @@ class TestRendering:
         assert set(render_report(component_reports)) == {
             "table_components.csv", "table_components.txt", "plot_components.csv"
         }
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.permutations(_MIXED_REPORTS))
+    def test_any_report_order_renders_the_same_bytes(self, reports):
+        tables = render_report(reports)
+        assert list(tables) == ["table_features.csv", "table_features.txt",
+                                "table_components.csv", "table_components.txt",
+                                "plot_components.csv"]
+        assert tables == render_report(_MIXED_REPORTS)

@@ -454,8 +454,8 @@ def small_nodes(draw):
     node = np.sort(draw(st.permutations(range(n_rows)))[:n_node])
     # Each row of the order matrix sorts the node's rows stably by one column.
     rows = node[np.argsort(columns[:, node], axis=1, kind="stable")]
-    features = np.array(sorted(draw(
-        st.sets(st.integers(0, n_features - 1), min_size=1, max_size=n_features))))
+    features = sorted(draw(
+        st.sets(st.integers(0, n_features - 1), min_size=1, max_size=n_features)))
     return columns, y, weight, n_classes, rows, features
 
 
@@ -669,7 +669,7 @@ def test_forest_from_json_rejects_a_class_spelled_twice_in_one_leaf():
 
 
 def _assert_draws_equal_choice(d, seeds, draws):
-    """_CandidateDraws against np.sort(rng.choice(d, m, replace=False))
+    """_CandidateDraws against np.sort(rng.choice(d, m, replace=False)).tolist()
     after bootstraps of odd and even length; returns the has_uint32
     flags seen when the draws began."""
     m = math.ceil(math.sqrt(d))
@@ -678,13 +678,14 @@ def _assert_draws_equal_choice(d, seeds, draws):
         for boot in (101, 100):
             expected_rng = np.random.default_rng(seed)
             expected_rng.integers(0, 1000, size=boot)
-            expected = [np.sort(expected_rng.choice(d, m, replace=False)) for _ in range(draws)]
+            expected = [np.sort(expected_rng.choice(d, m, replace=False)).tolist()
+                        for _ in range(draws)]
             rng = np.random.default_rng(seed)
             rng.integers(0, 1000, size=boot)
             buffered.add(rng.bit_generator.state["has_uint32"])
             candidates = _CandidateDraws(rng, d)
             got = [candidates.draw() for _ in range(draws)]
-            assert np.array_equal(np.array(got), np.array(expected)), (d, seed, boot)
+            assert got == expected, (d, seed, boot)
     return buffered
 
 
