@@ -17,7 +17,7 @@ _EXPORTS = {
                    "ValidationError"),
         "evaluation": ("CrossValPlan", "EvaluationReport", "cross_validate",
                        "cross_validate_many", "macro_f1"),
-        "features": ("FEATURE_COLUMNS", "NeighborhoodSpec", "SpatialIndex", "extract_features"),
+        "features": ("FEATURE_COLUMNS", "NeighborhoodSpec", "extract_features"),
         "forest": ("ForestConfig", "RandomForestModel", "rf_fit", "rf_predict_labels"),
         "knn": ("KnnModel", "knn_predict_labels"),
         "las": ("LasHeaderSummary", "read_las"),

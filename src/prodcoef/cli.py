@@ -9,9 +9,9 @@ count (threads must not affect results).
 `--seed` and `--out-dir` are on every stage command (`report` takes
 only `--out-dir`). `--threads`, on `features`, `evaluate` and `run`
 only, sets the workers of the three parallel steps: in `features`,
-threads for the kd-tree pair queries of radius neighborhoods and
-threads for the pieces of the whole-cloud count at a radius of sqrt(3)
-or more; in `evaluate`, forked processes for the cross-validation folds
+threads for the runs of centers of radius neighborhoods and threads
+for the pieces of the whole-cloud count at a radius of sqrt(3) or
+more; in `evaluate`, forked processes for the cross-validation folds
 (POSIX fork; each worker process holds one fold's model at a time). 0
 means one per CPU; the default 1 runs everything in this thread.
 
@@ -23,8 +23,8 @@ input; `features` loads what `ingest` does plus `features` and
 `synth`; `pca` loads `matrix` and `pca`; `train`, `evaluate` and
 `report` load `evaluation`, which loads `forest`, `knn` and `pca`; `run`
 loads what `features` and `evaluate` load. `scipy.spatial` is imported
-only where a kd-tree is built (radius features, KNN prediction) and
-once before `evaluate` forks its fold workers.
+only where KNN builds its kd-tree and once before `evaluate` forks its
+fold workers; `features` never loads it.
 
 Exit codes: 0 success, 1 validation, 2 I/O or format, 3 data
 consistency.
@@ -411,11 +411,14 @@ def cmd_run(args) -> int:
 
 def _write_tables(out: Path, reports) -> list[Path]:
     """Render `reports` (see render_report) and write each table into
-    `out`; nothing is written when rendering fails."""
+    `out`, made if missing; when rendering fails nothing is written and
+    no directory is made."""
     from .evaluation import render_report
 
+    tables = render_report(reports)
+    out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for name, text in render_report(reports).items():
+    for name, text in tables.items():
         paths.append(out / TABLE_FILES[name])
         paths[-1].write_text(text)
     return paths
@@ -424,7 +427,6 @@ def _write_tables(out: Path, reports) -> list[Path]:
 def cmd_report(args) -> int:
     from .evaluation import report_from_json
 
-    out = _out_dir(args)
     reports = []
     for path_text in args.reports:
         path = Path(path_text)
@@ -438,7 +440,7 @@ def cmd_report(args) -> int:
             raise FormatError(
                 f"cannot read report {path}: {type(exc).__name__}: {exc}"
             ) from None
-    paths = _write_tables(out, reports)
+    paths = _write_tables(Path(args.out_dir), reports)
     log.info("report: wrote %s", ", ".join(sorted(p.name for p in paths)))
     return 0
 
@@ -451,7 +453,7 @@ def _add_common(parser: _Parser) -> None:
 def _add_threads(parser: _Parser) -> None:
     parser.add_argument("--threads", type=int, default=1,
                         help="workers: threads for the radius neighborhoods' "
-                             "kd-tree pair queries and for the whole-cloud "
+                             "runs of centers and for the whole-cloud "
                              "count's pieces, forked processes for "
                              "cross-validation folds; 0 = auto; never changes "
                              "results")

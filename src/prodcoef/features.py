@@ -10,13 +10,15 @@ appended to x, y, z.
 
 A point's seven coefficients depend only on how many neighbors fall in
 each of its eight octants, so extraction is a batched octant count.
-A radius below the unit-cube diameter splits the rows into chunks
-that follow the kd-tree's leaf order, so each chunk's centers lie
-close together. One kd-tree pair query per chunk (a small tree over the
-chunk's centers against the cloud's tree) returns every (center,
-neighbor) pair as two integer arrays, with the same d^2 <= r^2 test as
-a linear scan and no Python object per pair; each pair is coded by
-octant one axis at a time and the codes are bincounted. A larger
+A radius below the unit-cube diameter uses a cell list (Allen &
+Tildesley, "Computer Simulation of Liquids", 1987): the points are
+sorted by x-y column, a square of side r/2, and then by z, so the
+points of one column within a z slab are one run of positions. A
+point's candidates are the points after it in its own column and the
+points of the 12 columns after its own within 2 columns on each axis,
+each within the slab z +- r. So every unordered pair is tested once,
+with the same d^2 <= r^2 test as a linear scan, and a pair within the
+radius adds one count to each point's octant around the other. A larger
 radius covers the whole cloud, and a center's octant counts are then
 3-D dominance counts: with L_S the number of points whose coordinates
 on every axis in S are <= the center's, octant 0 holds L_xyz points and
@@ -27,12 +29,12 @@ to the center's is counted as <= and goes left, as in the definition.
 The 2-D and 3-D counts split each prefix of a sorted order into aligned
 power-of-two blocks (Bentley, "Multidimensional divide-and-conquer",
 CACM 1980), which takes O(n log^2 n) time for the whole cloud. Both
-regimes split into independent tasks, radius chunks or the whole
-cloud's axes, 2-D counts and block levels, whose numpy and kd-tree
-calls run mostly without the interpreter lock; one dispatch runs them
-on `threads` worker threads, or in the calling thread when that is
-one. Both yield (n, 8) counts that one finishing step turns into
-coefficients. The reference is the paper's
+regimes split into independent tasks, runs of centers with a bounded
+number of candidate pairs or the whole cloud's axes, 2-D counts and
+block levels, whose numpy calls run mostly without the interpreter
+lock; one dispatch runs them on `threads` worker threads, or in the
+calling thread when that is one. Both yield (n, 8) counts that one
+finishing step turns into coefficients. The reference is the paper's
 definition in `prodcoef.dyadic`: `DyadicTree.from_leaf_masses` of a
 neighborhood's octant counts, then `coefficients_from_measure`. The
 tests build their oracle from it and compare bit for bit. Last, every
@@ -65,13 +67,26 @@ FEATURE_COLUMNS = ("x", "y", "z", "a_s", "a_ls", "a_rs", "a_lls", "a_rls", "a_lr
 # enumerate (center, neighbor) pairs.
 _FULL_CLOUD_RADIUS = math.sqrt(3.0)
 
-# Rows per radius task, taken in leaf order. A chunk holds every
-# (center, neighbor) pair of its rows in int64/float64 temporaries, so
-# it is kept small enough that the threads' pair buffers do not raise
-# the peak memory; with fewer rows the fixed cost of a pair query
-# dominates. 64 was fastest at 6,000 points (r=0.12) and 40,000 points
-# (r=0.06) on a 2-vCPU machine, among 16 to 256.
-_RADIUS_CHUNK = 64
+# Candidate pairs per radius task. A candidate holds 59 bytes of index,
+# distance and code arrays, so a task stays near 4 MB.
+_TASK_PAIRS = 1 << 16
+
+# Relative slack on the column side and on the z slab. A pair that the
+# d^2 <= r^2 test accepts is at most r * (1 + 4e-16) apart on any axis,
+# and a column index carries a rounding error below 3e-10 of a column
+# with at most _MAX_COLUMNS columns per axis, so with this slack no true
+# neighbor lies more than 2 columns away or outside the slab, even on a
+# column edge.
+_GRID_SLACK = 1e-9
+
+# Columns per axis at most: beyond this the rounding error of a column
+# index would approach _GRID_SLACK.
+_MAX_COLUMNS = 1 << 20
+
+# A column and the 12 after it in (x, y) order within 2 columns on both
+# axes, as (x, y) offsets: each unordered pair of columns is visited from
+# one side.
+_COLUMN_OFFSETS = np.array([(a, b) for a in range(3) for b in range(-2, 3) if (a, b) >= (0, 0)])
 
 
 @dataclass(frozen=True)
@@ -82,44 +97,6 @@ class NeighborhoodSpec:
     def __post_init__(self):
         if not np.isfinite(self.radius) or self.radius <= 0:
             raise ValidationError(f"radius must be positive, got {self.radius}")
-
-
-class SpatialIndex:
-    """kd-tree over normalized points with deterministic radius queries.
-
-    Queries find exactly {p : ||p - center||_2 <= radius}, the points a
-    linear scan accepts with d^2 <= radius^2.
-    """
-
-    def __init__(self, points: np.ndarray):
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise ValidationError(f"expected (n, 3) points, got {points.shape}")
-        # Imported here so that stages which never build a tree do not
-        # pay for loading scipy.spatial.
-        from scipy.spatial import cKDTree
-
-        self._tree = cKDTree(points, leafsize=16, balanced_tree=True)
-
-    @property
-    def leaf_order(self) -> np.ndarray:
-        """Every point id once, leaf by leaf: ids close in this order are
-        close in space."""
-        return self._tree.indices
-
-    def radius_pairs(self, ids: np.ndarray, radius: float):
-        """Every (k, j) with point j within radius of point ids[k], from one
-        kd-tree pair query.
-
-        Returns (k, j) as two equal-length integer arrays in no fixed
-        order; the j of one k are exactly the points a linear scan
-        accepts around point ids[k].
-        """
-        from scipy.spatial import cKDTree
-
-        centers = cKDTree(self._tree.data[ids], leafsize=16)
-        pairs = centers.sparse_distance_matrix(self._tree, radius, output_type="ndarray")
-        return pairs["i"], pairs["j"]
 
 
 def _coefficients_from_octant_counts(counts: np.ndarray) -> np.ndarray:
@@ -146,18 +123,6 @@ def _coefficients_from_octant_counts(counts: np.ndarray) -> np.ndarray:
         for col, (parent, left, right) in enumerate(nodes):
             out[:, col] = np.where(parent > 0.0, (left - right) / parent, 0.0)
     return out
-
-
-def _octant_counts_radius(xyz: np.ndarray, index: SpatialIndex, radius: float,
-                          ids: np.ndarray) -> np.ndarray:
-    """(len(ids), 8) octant counts of rows ids over their radius neighborhoods."""
-    rows, neighbors = index.radius_pairs(ids, radius)
-    codes = rows * 8
-    # One axis at a time keeps every temporary to one value per pair.
-    for axis, bit in ((0, 4), (1, 2), (2, 1)):
-        column = xyz[:, axis]
-        codes += (column[neighbors] > column[ids][rows]) * bit  # False (<=) -> left child
-    return np.bincount(codes, minlength=len(ids) * 8).reshape(-1, 8)
 
 
 def _counts_in_aligned_blocks(stored: np.ndarray, block: np.ndarray, length: np.ndarray,
@@ -202,6 +167,165 @@ def _map_tasks(fn, tasks, threads: int) -> list:
         return [fn(task) for task in tasks]
     with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(fn, tasks))
+
+
+class _ColumnGrid:
+    """The points sorted by (x-y column, z), with the candidate runs
+    that pair each point once with every point that can be within the
+    radius.
+
+    Columns are squares of side r/2 (with _GRID_SLACK) on the x-y
+    plane, so a neighbor lies at most 2 columns away on both axes.
+    Sorted by the key column * n + z-rank, the points of one column
+    within a z slab are one contiguous run of positions. Every array
+    here is indexed by sorted position.
+    """
+
+    def __init__(self, xyz: np.ndarray, radius: float):
+        n = len(xyz)
+        side = 0.5 * radius * (1.0 + _GRID_SLACK)
+        # Keys and the needles searched for stay below (columns + 1) * n,
+        # with columns <= cap**2, so they cannot overflow int64.
+        cap = min(_MAX_COLUMNS, math.isqrt(np.iinfo(np.int64).max // n - 1))
+        cells = []
+        for coord in (xyz[:, 0], xyz[:, 1]):
+            low = coord.min()
+            step = max(side, (coord.max() - low) / max(cap - 1, 1))
+            if step > 0:
+                cells.append(np.minimum(np.floor((coord - low) / step), cap - 1).astype(np.int64))
+            else:  # one coordinate on this axis, and r/2 rounds to 0
+                cells.append(np.zeros(n, dtype=np.int64))
+        self.nx, self.ny = (int(cell.max()) + 1 for cell in cells)
+        z = xyz[:, 2]
+        by_z = np.argsort(z, kind="stable")
+        z_rank = np.empty(n, dtype=np.int64)
+        z_rank[by_z] = np.arange(n)
+        keys = (cells[0] * self.ny + cells[1]) * n + z_rank
+        self.order = np.argsort(keys)
+        self.keys = keys[self.order]
+        self.xyz = [np.ascontiguousarray(xyz[self.order, axis]) for axis in range(3)]
+        # The slab's z-ranks: z_rank >= low and < high exactly when
+        # center z - h <= z <= center z + h.
+        h = radius * (1.0 + _GRID_SLACK)
+        sorted_z = z[by_z]
+        self.low = np.searchsorted(sorted_z, self.xyz[2] - h, side="left")
+        self.high = np.searchsorted(sorted_z, self.xyz[2] + h, side="right")
+
+    def ranges(self, lo: int, hi: int):
+        """(starts, ends), each (hi - lo, 13): the runs of positions
+        [start, end) holding the candidates of the centers at positions
+        lo..hi-1 in each of _COLUMN_OFFSETS, all after the center."""
+        n = len(self.keys)
+        a, b = np.divmod(self.keys[lo:hi, None] // n, self.ny)
+        a = a + _COLUMN_OFFSETS[:, 0]
+        b = b + _COLUMN_OFFSETS[:, 1]
+        inside = (a < self.nx) & (b >= 0) & (b < self.ny)
+        base = np.where(inside, a * self.ny + b, 0) * n
+        starts = np.searchsorted(self.keys, base + self.low[lo:hi, None])
+        ends = np.searchsorted(self.keys, base + self.high[lo:hi, None])
+        # In its own column a center pairs only with the points after it.
+        starts[:, 0] = np.arange(lo + 1, hi + 1)
+        return starts, np.where(inside, ends, starts)
+
+    def tasks(self, budget: int) -> list:
+        """(lo, hi) position runs of consecutive centers with at most
+        `budget` candidates each; a center with more is a run alone."""
+        n = len(self.keys)
+        totals = np.empty(n, dtype=np.int64)
+        step = _TASK_PAIRS // 16  # rows whose runs take about a task's memory
+        for lo in range(0, n, step):
+            starts, ends = self.ranges(lo, min(lo + step, n))
+            totals[lo:lo + step] = (ends - starts).sum(axis=1)
+        through = np.cumsum(totals)  # candidates of the centers up to each
+        runs = []
+        lo = 0
+        while lo < n:
+            hi = int(np.searchsorted(through, through[lo] - totals[lo] + budget, side="right"))
+            runs.append((lo, max(hi, lo + 1)))
+            lo = runs[-1][1]
+        return runs
+
+
+def _octant_counts_radius(xyz: np.ndarray, radius: float, threads: int = 1,
+                          budget: int = _TASK_PAIRS) -> np.ndarray:
+    """(n, 8) octant counts of every point over its radius neighborhood.
+
+    Each unordered pair of points is tested once, from the one that
+    comes first in the grid's order, with d^2 = (dx^2 + dy^2) + dz^2 <=
+    r^2, the arithmetic of a linear scan. A kept pair adds j's octant
+    around i to i's counts and i's around j to j's; a coordinate equal
+    to the center's goes left for both. The tasks, runs of centers with
+    at most `budget` candidates, run on `threads` workers and add their
+    exact integer counts to one array, so their order changes no bit.
+    """
+    grid = _ColumnGrid(xyz, radius)
+    r2 = radius * radius
+    counts = np.zeros((len(xyz), 8), dtype=np.int64)
+    counts[:, 0] = 1  # every center lies in its own octant 0
+    lock = threading.Lock()
+    # Each worker's candidate-sized arrays, reused from task to task:
+    # fresh temporaries per task made the allocator hand pages back and
+    # fault them in again, which cost a third to a half of the count at
+    # 6,000 points (r=0.12) and 14,000 points (r=0.3) on a 2-vCPU machine.
+    scratch = threading.local()
+
+    def count(task):
+        lo, hi = task
+        starts, ends = grid.ranges(lo, hi)
+        runs = ends - starts
+        per_center = runs.sum(axis=1)
+        lengths = runs.ravel()
+        size = int(lengths.sum())
+        # Candidate positions j, each run's start plus 0, 1, ... along
+        # it, and each candidate's center i as an offset from lo.
+        j = np.repeat(starts.ravel() - (np.cumsum(lengths) - lengths), lengths)
+        j += np.arange(size)
+        i = np.repeat(np.arange(hi - lo), per_center)
+        if getattr(scratch, "size", -1) < size:
+            scratch.size = size
+            scratch.real = np.empty((5, size))
+            scratch.code = np.empty((3, size), dtype=np.uint8)
+        dx, dy, dz, d2, center = scratch.real[:, :size]
+        for delta, coord in zip((dx, dy, dz), grid.xyz):
+            # Every index is in range; mode="clip" only skips take's
+            # buffered copy for out=.
+            np.take(coord, j, out=delta, mode="clip")
+            np.take(coord[lo:hi], i, out=center, mode="clip")
+            delta -= center
+        np.multiply(dx, dx, out=d2)
+        for delta in (dy, dz):
+            np.multiply(delta, delta, out=center)
+            d2 += center
+        # Octant code of j around i and of i around j, plus 8 for a pair
+        # beyond the radius. dx > 0 exactly when x_j > x_i, which sends j
+        # right of i; dx < 0 sends i right of j; equal values go left.
+        around_i, around_j, bits = scratch.code[:, :size]
+        np.greater(d2, r2, out=bits.view(bool))
+        np.left_shift(bits, 3, out=around_i)
+        around_j[:] = around_i
+        for shift, delta in ((2, dx), (1, dy), (0, dz)):
+            np.greater(delta, 0, out=bits.view(bool))
+            bits <<= shift
+            around_i |= bits
+            np.less(delta, 0, out=bits.view(bool))
+            bits <<= shift
+            around_j |= bits
+        width = int(ends.max()) - lo  # the points the task's pairs touch
+        i <<= 4
+        i += around_i
+        j -= lo
+        j <<= 4
+        j += around_j
+        own = np.bincount(i, minlength=16 * (hi - lo)).reshape(-1, 16)[:, :8]
+        other = np.bincount(j, minlength=16 * width).reshape(-1, 16)[:, :8]
+        with lock:  # the points of several tasks overlap
+            counts[lo:hi] += own
+            counts[lo:lo + width] += other
+
+    _map_tasks(count, grid.tasks(budget), threads)
+    out = np.empty_like(counts)
+    out[grid.order] = counts
+    return out
 
 
 def _axis_counts(xyz: np.ndarray, axis: int):
@@ -298,8 +422,8 @@ def extract_features(cloud: PointCloud, spec: NeighborhoodSpec | None = None,
     Columns are x, y, z and the seven neighborhood coefficients in
     level order; after assembly every column is min-max rescaled onto
     [0,1] (constant columns become 0.5). `threads` workers share the
-    radius neighborhoods' row chunks or the whole-cloud count's pieces;
-    every row's counts are exact integers however the work is split, so
+    radius neighborhoods' runs of centers or the whole-cloud count's
+    pieces; every row's counts are exact integers however the work is split, so
     the thread count never changes the result. The minimum, median and
     maximum neighborhood size are logged at INFO.
     """
@@ -314,19 +438,10 @@ def extract_features(cloud: PointCloud, spec: NeighborhoodSpec | None = None,
     raw = np.empty((n, 10), dtype=np.float64)
     raw[:, :3] = xyz
     if spec.radius >= _FULL_CLOUD_RADIUS:
-        sizes, raw[:, 3:] = _finish_octant_counts(_octant_counts_whole_cloud(xyz, threads),
-                                                  spec.include_center)
+        counts = _octant_counts_whole_cloud(xyz, threads)
     else:
-        index = SpatialIndex(xyz)
-        sizes = np.empty(n, dtype=np.int64)
-
-        def worker(ids):
-            counts = _octant_counts_radius(xyz, index, spec.radius, ids)
-            sizes[ids], raw[ids, 3:] = _finish_octant_counts(counts, spec.include_center)
-
-        order = index.leaf_order
-        chunks = [order[lo:lo + _RADIUS_CHUNK] for lo in range(0, n, _RADIUS_CHUNK)]
-        _map_tasks(worker, chunks, threads)
+        counts = _octant_counts_radius(xyz, spec.radius, threads)
+    sizes, raw[:, 3:] = _finish_octant_counts(counts, spec.include_center)
 
     log.info("neighborhood sizes: min %d, median %s, max %d",
              sizes.min(), float(np.median(sizes)), sizes.max())

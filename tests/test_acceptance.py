@@ -27,7 +27,7 @@ from prodcoef.evaluation import (
     cross_validate,
     macro_f1,
 )
-from prodcoef.features import NeighborhoodSpec, SpatialIndex, extract_features
+from prodcoef.features import NeighborhoodSpec, _octant_counts_radius, extract_features
 from prodcoef.forest import ForestConfig, forest_to_json, rf_fit, rf_predict_labels
 from prodcoef.knn import KnnModel, knn_predict_labels
 from prodcoef.las import read_las
@@ -122,7 +122,7 @@ def test_criterion_04_neighborhood_oracle_equivalence():
         np.testing.assert_array_equal(fm.values, expected)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
-    print(f"PASS criterion 4: kd-tree == naive scan on 20 clouds in {elapsed:.1f}s")
+    print(f"PASS criterion 4: cell grid == naive scan on 20 clouds in {elapsed:.1f}s")
 
 
 def _power_iteration_eigenvalues(cov, n, iters=60_000, tol=1e-14):
@@ -219,8 +219,7 @@ def test_criterion_07_macro_f1_hand_fixture():
 def test_criterion_08_pipeline_improvement_on_synthetic_scene():
     started = time.perf_counter()
     cloud = normalize_unit_cube(generate_scene(SCENE))
-    rows, _ = SpatialIndex(cloud.xyz).radius_pairs(np.arange(len(cloud)), SCENE_RADIUS)
-    neighborhood_sizes = np.bincount(rows, minlength=len(cloud))
+    neighborhood_sizes = _octant_counts_radius(cloud.xyz, SCENE_RADIUS).sum(axis=1)
     median_size = float(np.median(neighborhood_sizes))
     assert 35 <= median_size <= 70, f"median neighborhood {median_size}"
 

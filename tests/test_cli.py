@@ -379,10 +379,14 @@ _NOT_FEATURES = ("scipy.spatial", "prodcoef.evaluation", "prodcoef.forest", "pro
 @pytest.mark.parametrize("argv, unloaded", [
     pytest.param(["--help"], ("numpy", *_PROCESS_POOL), id="help"),
     pytest.param(["evaluate", "--help"], ("numpy", *_PROCESS_POOL), id="evaluate-help"),
-    # The whole-cloud count needs no kd-tree; importing scipy.spatial
-    # would add about 0.4 s to every default-radius features job.
+    # Neither the whole-cloud count nor the radius cell grid needs a
+    # kd-tree; importing scipy.spatial would add about 0.4 s to every
+    # features job.
     pytest.param(["features", "--input", "{scene}", "--has-label", "--threads", "2",
                   "--out-dir", "{out}"], _NOT_FEATURES, id="features-default-radius"),
+    pytest.param(["features", "--input", "{scene}", "--has-label", "--radius", "0.3",
+                  "--threads", "2", "--out-dir", "{out}"], _NOT_FEATURES,
+                 id="features-radius"),
     pytest.param(["evaluate", "--features", "{features}", "--table", "1", "--folds", "3",
                   "--trees", "2", "--out-dir", "{out}"],
                  ("prodcoef.las", "prodcoef.synth", "prodcoef.dyadic"), id="evaluate"),
@@ -583,6 +587,7 @@ def test_unreadable_report_gives_io_exit(tmp_path, capsys, content):
     assert main(["report", str(path), "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "cannot read report" in err and "report_t2_n03_knn.json" in err
+    assert not (tmp_path / "o").exists()
     assert "Traceback" not in err
 
 
@@ -615,7 +620,7 @@ def test_report_cell_twice_or_no_cell_gives_validation_exit_and_no_files(
     out = tmp_path / "out"
     assert main(["report", *map(str, paths), "--out-dir", str(out)]) == 1
     assert error in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_report_table_csv_quotes_any_title(tmp_path):

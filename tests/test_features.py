@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 import prodcoef.features as features_module
 from prodcoef.errors import ValidationError
 from prodcoef.features import (
-    _RADIUS_CHUNK,
     FEATURE_COLUMNS,
     NeighborhoodSpec,
-    SpatialIndex,
+    _ColumnGrid,
     _finish_octant_counts,
     _octant_counts_radius,
     _octant_counts_whole_cloud,
@@ -92,51 +91,114 @@ def assert_features_equal_naive_scan(cloud, spec, threads_list=(1, 2, 3)):
     return empty
 
 
-def pair_neighbor_lists(index, ids, radius):
-    """The neighbor ids radius_pairs finds around each point ids[k], each
-    list sorted ascending."""
-    rows, neighbors = index.radius_pairs(ids, radius)
-    assert rows.shape == neighbors.shape
-    assert ((rows >= 0) & (rows < len(ids))).all()
-    return [np.sort(neighbors[rows == k]) for k in range(len(ids))]
+def naive_octant_counts(points, radius, centers=None):
+    """Oracle: each center's octant counts over the points
+    naive_radius_neighbors finds around it ("<= center" goes left)."""
+    points = np.asarray(points, dtype=np.float64)
+    rows = []
+    for c in range(len(points)) if centers is None else centers:
+        near = points[naive_radius_neighbors(points, points[c], radius)]
+        codes = ((near[:, 0] > points[c, 0]) * 4 + (near[:, 1] > points[c, 1]) * 2
+                 + (near[:, 2] > points[c, 2]))
+        rows.append(np.bincount(codes, minlength=8))
+    return np.array(rows, dtype=np.int64).reshape(-1, 8)
 
 
 class TestRadiusNeighbors:
     def test_collinear_points(self):
         # Point 2 sits exactly on the sphere around point 0 (d^2 == r^2).
         pts = np.array([[0, 0, 0], [0.3, 0, 0], [0.5, 0, 0], [0.9, 0, 0]])
-        got = pair_neighbor_lists(SpatialIndex(pts), np.arange(4), 0.5)
-        assert [ids.tolist() for ids in got] == [[0, 1, 2], [0, 1, 2], [0, 1, 2, 3], [2, 3]]
+        counts = _octant_counts_radius(pts, 0.5)
+        # Neighbors [0, 1, 2], [0, 1, 2], [0, 1, 2, 3] and [2, 3]; only
+        # larger x leaves octant 0.
+        assert counts.tolist() == [[1, 0, 0, 0, 2, 0, 0, 0], [2, 0, 0, 0, 1, 0, 0, 0],
+                                   [3, 0, 0, 0, 1, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0, 0]]
+        np.testing.assert_array_equal(counts, naive_octant_counts(pts, 0.5))
 
     def test_radius_two_covers_unit_cube(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(size=(40, 3))
-        for ids in pair_neighbor_lists(SpatialIndex(pts), np.arange(5), 2.0):
-            assert ids.tolist() == list(range(40))
+        counts = _octant_counts_radius(pts, 2.0)
+        assert counts.sum(axis=1).tolist() == [40] * 40
+        np.testing.assert_array_equal(counts, all_pairs_octant_counts(pts))
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(size=(500, 3))
-        index = SpatialIndex(pts)
         for _ in range(10):
             ids = rng.permutation(500)[:20]
             radius = rng.uniform(0.01, 0.9)
-            for center, got in zip(ids, pair_neighbor_lists(index, ids, radius)):
-                np.testing.assert_array_equal(
-                    got, naive_radius_neighbors(pts, pts[center], radius))
+            np.testing.assert_array_equal(_octant_counts_radius(pts, radius)[ids],
+                                          naive_octant_counts(pts, radius, ids))
 
     def test_many_centers_match_single_queries(self):
         rng = np.random.default_rng(12)
         pts = rng.uniform(size=(300, 3))
         ids = rng.permutation(300)[:40]
-        got = pair_neighbor_lists(SpatialIndex(pts), ids, 0.2)
-        for k in range(40):
-            np.testing.assert_array_equal(got[k], naive_radius_neighbors(pts, pts[ids[k]], 0.2))
+        counts = _octant_counts_radius(pts, 0.2)
+        for k in ids:
+            np.testing.assert_array_equal(counts[k], naive_octant_counts(pts, 0.2, [k])[0])
 
-    def test_leaf_order_is_a_permutation(self):
+    def test_grid_order_is_a_permutation(self):
         rng = np.random.default_rng(15)
-        index = SpatialIndex(rng.uniform(size=(300, 3)))
-        np.testing.assert_array_equal(np.sort(index.leaf_order), np.arange(300))
+        grid = _ColumnGrid(rng.uniform(size=(300, 3)), 0.2)
+        np.testing.assert_array_equal(np.sort(grid.order), np.arange(300))
+
+    @pytest.mark.parametrize("radius", [0.1, 0.2, 0.3])
+    def test_points_on_cell_edges_equal_naive_scan(self, radius):
+        # Every coordinate a multiple of r/2, the column side, or the
+        # float just below or above one: neighbors sit on column edges
+        # and exactly on the sphere.
+        rng = np.random.default_rng(16)
+        edges = np.arange(0, 1.0 + 1e-12, radius / 2)
+        xyz = rng.choice(edges, size=(400, 3))
+        nudged = rng.integers(0, 400, size=100)
+        xyz[nudged] = np.nextafter(xyz[nudged], rng.choice([0.0, 1.0], size=(100, 3)))
+        xyz = np.clip(xyz, 0.0, 1.0)
+        np.testing.assert_array_equal(_octant_counts_radius(xyz, radius),
+                                      naive_octant_counts(xyz, radius))
+
+    def test_radius_just_under_full_cloud_equals_all_pairs(self):
+        # Just below sqrt(3) the radius path still runs; no two points of
+        # a random cloud are that far apart, so every neighborhood is the
+        # whole cloud. Opposite corners of the cube are further apart.
+        radius = np.nextafter(np.sqrt(3.0), 0.0)
+        rng = np.random.default_rng(17)
+        pts = rng.uniform(size=(200, 3))
+        np.testing.assert_array_equal(_octant_counts_radius(pts, radius),
+                                      all_pairs_octant_counts(pts))
+        corners = np.vstack([pts, [[0, 0, 0], [1, 1, 1]]])
+        counts = _octant_counts_radius(corners, radius)
+        assert counts[-1].sum() == counts[-2].sum() == 201
+        np.testing.assert_array_equal(counts, naive_octant_counts(corners, radius))
+
+    def test_many_tasks_on_many_threads_equal_naive_scan(self):
+        # Small tasks on 8 threads add into one array, each thread reusing
+        # its own scratch arrays; switch threads as often as possible so
+        # a lost update or a shared buffer would show.
+        rng = np.random.default_rng(19)
+        xyz = rng.integers(0, 6, size=(400, 3)) / 5.0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _octant_counts_radius(xyz, 0.3, threads=8, budget=64)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(got, naive_octant_counts(xyz, 0.3))
+
+    def test_tiny_radius_caps_columns(self):
+        # At r = 1e-9 a grid of r/2 columns would have 2e9 columns per
+        # axis, and column * n + rank would overflow int64 at 600 points.
+        radius = 1e-9
+        rng = np.random.default_rng(18)
+        base = rng.uniform(size=(300, 3))
+        steps = rng.choice([0.0, 0.5, 1.0, 1.5], size=(300, 3)) * radius
+        xyz = np.clip(np.vstack([base, base + steps]), 0.0, 1.0)
+        grid = _ColumnGrid(xyz, radius)
+        assert (grid.nx * grid.ny + 1) * len(xyz) <= np.iinfo(np.int64).max
+        counts = _octant_counts_radius(xyz, radius)
+        np.testing.assert_array_equal(counts, naive_octant_counts(xyz, radius))
+        assert counts.sum() > len(xyz)  # some pairs are within the radius
 
 
 def corner_cube_cloud():
@@ -159,12 +221,11 @@ class TestSphereMeasure:
         # The <=-goes-left rule routes the center into the leftmost leaf.
         expected = [[1, 0, 0, 0, 0, 0, 0, 0]]
         assert _octant_counts_whole_cloud(xyz).tolist() == expected
-        counts = _octant_counts_radius(xyz, SpatialIndex(xyz), 0.1, np.arange(1))
-        assert counts.tolist() == expected
+        assert _octant_counts_radius(xyz, 0.1).tolist() == expected
 
     def test_symmetric_corner_cube(self):
         xyz = corner_cube_cloud()
-        counts = _octant_counts_radius(xyz, SpatialIndex(xyz), 0.2, np.arange(1))
+        counts = _octant_counts_radius(xyz, 0.2)[:1]
         assert counts.tolist() == [[2, 1, 1, 1, 1, 1, 1, 1]]
         np.testing.assert_array_equal(_octant_counts_whole_cloud(xyz)[:1], counts)
         sizes, _ = _finish_octant_counts(counts, include_center=False)
@@ -187,9 +248,7 @@ class TestSphereMeasure:
                     i += 1
                 expected[row, i] += 1
         np.testing.assert_array_equal(_octant_counts_whole_cloud(xyz)[:30], expected)
-        index = SpatialIndex(xyz)
-        np.testing.assert_array_equal(_octant_counts_radius(xyz, index, 2.0, np.arange(30)),
-                                      expected)
+        np.testing.assert_array_equal(_octant_counts_radius(xyz, 2.0)[:30], expected)
 
 
 class TestPointCoefficients:
@@ -201,7 +260,7 @@ class TestPointCoefficients:
 
     def test_symmetric_row_is_all_zero(self):
         xyz = corner_cube_cloud()
-        counts = _octant_counts_radius(xyz, SpatialIndex(xyz), 0.2, np.arange(1))
+        counts = _octant_counts_radius(xyz, 0.2)[:1]
         _, coefficients = _finish_octant_counts(counts, include_center=False)
         assert coefficients.tolist() == [[0] * 7]
 
@@ -235,8 +294,7 @@ class TestExtractFeatures:
     def test_radius_two_gives_full_root_mass(self):
         rng = np.random.default_rng(3)
         cloud = normalize_unit_cube(PointCloud(xyz=rng.uniform(size=(30, 3))))
-        index = SpatialIndex(cloud.xyz)
-        for counts in (_octant_counts_radius(cloud.xyz, index, 2.0, np.arange(30)),
+        for counts in (_octant_counts_radius(cloud.xyz, 2.0),
                        _octant_counts_whole_cloud(cloud.xyz)):
             sizes, _ = _finish_octant_counts(counts, include_center=True)
             assert sizes.tolist() == [30] * 30
@@ -249,19 +307,18 @@ class TestExtractFeatures:
             col = fm.values[:, j]
             assert (col.min() == 0.0 and col.max() == 1.0) or (col == 0.5).all()
 
-    def test_kdtree_path_equals_dense_path(self):
+    def test_grid_path_equals_dense_path(self):
         rng = np.random.default_rng(6)
         cloud = normalize_unit_cube(PointCloud(xyz=rng.uniform(size=(150, 3))))
-        index = SpatialIndex(cloud.xyz)
-        counts_kd = _octant_counts_radius(cloud.xyz, index, 2.0, np.arange(150))
+        counts_grid = _octant_counts_radius(cloud.xyz, 2.0)
         counts_dense = _octant_counts_whole_cloud(cloud.xyz)
-        np.testing.assert_array_equal(counts_kd, counts_dense)
+        np.testing.assert_array_equal(counts_grid, counts_dense)
         np.testing.assert_array_equal(
-            _finish_octant_counts(counts_kd, True)[1],
+            _finish_octant_counts(counts_grid, True)[1],
             _finish_octant_counts(counts_dense, True)[1],
         )
 
-    def test_kdtree_features_equal_naive_scan_features(self):
+    def test_grid_features_equal_naive_scan_features(self):
         rng = np.random.default_rng(7)
         cloud = normalize_unit_cube(PointCloud(xyz=rng.uniform(size=(200, 3))))
         spec = NeighborhoodSpec(radius=0.25)
@@ -353,13 +410,12 @@ class TestExtractFeatures:
             extract_features(cloud, near)
 
     def test_include_center_false_full_cloud_path(self):
-        # Whole-cloud path with the center removed still matches the kd path.
+        # Whole-cloud path with the center removed still matches the grid path.
         rng = np.random.default_rng(11)
         cloud = normalize_unit_cube(PointCloud(xyz=rng.uniform(size=(50, 3))))
         spec = NeighborhoodSpec(radius=2.0, include_center=False)
         fm_dense = extract_features(cloud, spec)
-        index = SpatialIndex(cloud.xyz)
-        counts = _octant_counts_radius(cloud.xyz, index, spec.radius, np.arange(50))
+        counts = _octant_counts_radius(cloud.xyz, spec.radius)
         sizes, out = _finish_octant_counts(counts, spec.include_center)
         assert (sizes == 49).all()
         np.testing.assert_array_equal(fm_dense.values[:, 3:], rescale_columns(out))
@@ -385,13 +441,12 @@ class TestRadiusPairSource:
             spec = NeighborhoodSpec(radius=np.sqrt(m) / (side - 1))
             assert not assert_features_equal_naive_scan(cloud, spec)
 
-    @pytest.mark.parametrize("size", [1, _RADIUS_CHUNK - 1, _RADIUS_CHUNK, _RADIUS_CHUNK + 1,
-                                      3 * _RADIUS_CHUNK + 5])
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 197])
     @pytest.mark.parametrize("include_center", [True, False])
     def test_chunk_boundary_sizes_equal_naive_scan(self, size, include_center):
         # Five values per axis and a third of the rows repeating another
-        # row: the chunks split runs of identical points and of ties on
-        # one axis.
+        # row: tasks of one center each split runs of identical points
+        # and of ties on one axis, and one task holds them all.
         rng = np.random.default_rng(size)
         grid = rng.integers(0, 5, size=(size - size // 3, 3))
         grid = np.vstack([grid, grid[rng.integers(0, len(grid), size=size // 3)]])
@@ -400,6 +455,10 @@ class TestRadiusPairSource:
         for radius in (0.1, 0.3, 0.8):
             spec = NeighborhoodSpec(radius=radius, include_center=include_center)
             assert_features_equal_naive_scan(cloud, spec)
+            whole = _octant_counts_radius(cloud.xyz, radius, budget=2**62)
+            for threads in (1, 3):
+                np.testing.assert_array_equal(
+                    _octant_counts_radius(cloud.xyz, radius, threads, budget=1), whole)
 
     @pytest.mark.parametrize("radius", [0.5, 2.0])
     def test_neighborhood_sizes_logged(self, caplog, radius):
@@ -465,7 +524,7 @@ class TestWholeCloudCounts:
 
 
 def test_import_does_not_load_scipy_spatial():
-    # Only building a kd-tree needs scipy.spatial; importing the package
+    # Only KNN's kd-tree needs scipy.spatial; importing the package
     # (as every CLI stage does) must not pay for it.
     code = (
         "import sys, prodcoef, prodcoef.cli\n"
