@@ -361,9 +361,11 @@ def test_run_threads_auto_equals_one(tmp_path, scene_csv):
     _same_files(tmp_path / "t1", tmp_path / "t0")
 
 
-# Runs `python -m prodcoef ARGV...` and prints the loaded modules last.
+# Runs the Python statements in its first argument, then `python -m
+# prodcoef ARGV...` with the rest, and prints the loaded modules last.
 _RUN_AND_LIST_MODULES = (
     "import json, runpy, sys\n"
+    "exec(sys.argv.pop(1))\n"
     "try:\n"
     "    runpy.run_module('prodcoef', run_name='__main__', alter_sys=True)\n"
     "except SystemExit as exc:\n"
@@ -387,9 +389,16 @@ _NOT_FEATURES = ("scipy.spatial", "prodcoef.evaluation", "prodcoef.forest", "pro
     pytest.param(["features", "--input", "{scene}", "--has-label", "--radius", "0.3",
                   "--threads", "2", "--out-dir", "{out}"], _NOT_FEATURES,
                  id="features-radius"),
+    # Folds of a few hundred training rows take KNN's direct distance
+    # table, which needs no kd-tree, before and after a fork.
     pytest.param(["evaluate", "--features", "{features}", "--table", "1", "--folds", "3",
                   "--trees", "2", "--out-dir", "{out}"],
-                 ("prodcoef.las", "prodcoef.synth", "prodcoef.dyadic"), id="evaluate"),
+                 ("scipy.spatial", "prodcoef.las", "prodcoef.synth", "prodcoef.dyadic"),
+                 id="evaluate"),
+    pytest.param(["run", "--input", "{scene}", "--has-label", "--radius", "0.3", "--table", "1",
+                  "--folds", "3", "--trees", "2", "--threads", "2", "--out-dir", "{out}"],
+                 ("scipy.spatial", "prodcoef.las", "prodcoef.synth", "prodcoef.dyadic"),
+                 id="run-threads"),
 ])
 def test_command_leaves_modules_unloaded(tmp_path, scene_csv, argv, unloaded):
     # Each command imports only the modules it runs, so --help, the
@@ -397,14 +406,35 @@ def test_command_leaves_modules_unloaded(tmp_path, scene_csv, argv, unloaded):
     out = tmp_path / "out"
     argv = [a.format(scene=scene_csv, features=_features(tmp_path, scene_csv), out=out)
             for a in argv]
-    env = dict(os.environ, PYTHONPATH=str(Path(prodcoef.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv], env=env,
-                          check=True, capture_output=True, text=True, timeout=60)
-    loaded = json.loads(done.stdout.splitlines()[-1])
+    loaded = _loaded_modules(argv)
     assert [m for m in loaded
             if any(m == name or m.startswith(name + ".") for name in unloaded)] == []
     if "--out-dir" in argv:
         assert (out / ("features.csv" if argv[0] == "features" else "table1.csv")).exists()
+
+
+def _loaded_modules(argv, preamble=""):
+    """The modules loaded once `python -m prodcoef ARGV...` has run in a
+    fresh interpreter, after the statements in `preamble`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(prodcoef.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES, preamble, *argv],
+                          env=env, check=True, capture_output=True, text=True, timeout=60)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_kdtree_folds_load_scipy_spatial_and_keep_the_table(tmp_path, scene_csv):
+    # With the direct-table limit lowered, every KNN fold takes the
+    # kd-tree: evaluate imports scipy.spatial before it forks its
+    # workers, and the table is the same bytes.
+    argv = ["evaluate", "--features", str(_features(tmp_path, scene_csv)), "--table", "1",
+            "--folds", "3", "--trees", "2", "--threads", "2", "--out-dir"]
+    direct = _loaded_modules([*argv, str(tmp_path / "direct")])
+    kdtree = _loaded_modules([*argv, str(tmp_path / "kdtree")],
+                             preamble="import prodcoef.knn\nprodcoef.knn._DIRECT_ROWS = 0")
+    assert "scipy.spatial" not in direct
+    assert "scipy.spatial" in kdtree
+    assert ((tmp_path / "direct" / "table1.csv").read_bytes()
+            == (tmp_path / "kdtree" / "table1.csv").read_bytes())
 
 
 def test_threads_do_not_change_default_radius_features(tmp_path, scene_csv):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prodcoef.forest as forest_module
 from prodcoef.errors import FormatError, ValidationError
 from prodcoef.evaluation import CrossValPlan, fold_assignment
 from prodcoef.features import NeighborhoodSpec, extract_features
@@ -483,6 +484,24 @@ def test_small_node_search_equals_best_split(case):
 
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**30), min_size=1, max_size=40).filter(any))
+def test_gini_equals_numpy_expression(counts):
+    # Up to 40 classes crosses numpy's change of summation order at 8
+    # terms; both searches pass counts as Python ints or floats.
+    total = sum(counts)
+    expected = _reference_gini(np.array(counts, dtype=np.float64), total)
+    assert forest_module._gini(counts, total) == expected
+    assert forest_module._gini([float(c) for c in counts], float(total)) == expected
+
+
+def test_gini_equals_numpy_expression_past_pairwise_block():
+    # Above 128 terms numpy sums each half separately.
+    counts = np.random.default_rng(12).integers(0, 1000, size=200)
+    total = int(counts.sum())
+    assert forest_module._gini(counts.tolist(), total) == _reference_gini(counts, total)
 
 
 def test_golden_forest_bytes():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from prodcoef.errors import ValidationError
 import prodcoef.knn as knn_module
@@ -15,6 +16,15 @@ def _matrix(values, labels=None):
     values = np.atleast_2d(np.asarray(values, dtype=float))
     names = tuple(f"f{i}" for i in range(values.shape[1]))
     return FeatureMatrix(values, names, labels)
+
+
+def both_paths():
+    """Yield "direct", then "kdtree", with _DIRECT_ROWS set so that every
+    fit in the loop body takes that candidate source."""
+    for path, limit in (("direct", 10**9), ("kdtree", 0)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(knn_module, "_DIRECT_ROWS", limit)
+            yield path
 
 
 def full_sort_oracle(train_x, train_y, query, k):
@@ -129,12 +139,13 @@ def test_duplicate_grid_matches_full_sort_oracle(monkeypatch, blocks, k):
     queries = rng.integers(0, 3, size=(120, 3)).astype(float)
     if blocks == "many blocks":
         # At most 2,800 candidate pairs per step: several steps per
-        # width, with a short last one.
+        # width (seven queries per direct block), with a short last one.
         monkeypatch.setattr(knn_module, "_BLOCK_PAIRS", 7 * 400)
     model = KnnModel(train=_matrix(train_x, train_y), k=k)
-    got = knn_predict_labels(model, _matrix(queries))
     expected = [full_sort_oracle(train_x, train_y, q, k) for q in queries]
-    assert got.tolist() == expected
+    for path in both_paths():
+        got = knn_predict_labels(model, _matrix(queries))
+        assert got.tolist() == expected, path
 
 
 @st.composite
@@ -164,10 +175,37 @@ def test_vote_matrix_equals_brute_force_on_tie_grids(case):
     with pytest.MonkeyPatch.context() as patch:
         if per_block is not None:
             patch.setattr(knn_module, "_BLOCK_PAIRS", per_block * len(train_x))
-        got = _vote_matrix(model, _matrix(queries))
         expected = brute_force_votes(model, _matrix(queries))
-    np.testing.assert_array_equal(got, expected)
-    assert (got.sum(axis=1) == k).all()
+        for path in both_paths():
+            got = _vote_matrix(model, _matrix(queries))
+            np.testing.assert_array_equal(got, expected, err_msg=path)
+    assert (expected.sum(axis=1) == k).all()
+
+
+@st.composite
+def distance_cases(draw):
+    """Queries and training rows of 1-12 columns, across numpy's change
+    of summation order at 8 terms, with magnitudes far apart so that the
+    order shows in the last bits."""
+    d = draw(st.integers(1, 12))
+    values = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
+    queries = draw(arrays(np.float64, (draw(st.integers(1, 6)), d), elements=values))
+    train = draw(arrays(np.float64, (draw(st.integers(1, 6)), d), elements=values))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e50]))
+    return queries, train * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(distance_cases())
+def test_direct_table_equals_recomputed_distances(case):
+    Q, T = case
+    squares = np.empty((Q.shape[1], len(Q), len(T)))
+    d2 = knn_module._squared_distances(Q, np.ascontiguousarray(T.T), squares)
+    row, idx = np.nonzero(np.ones(d2.shape, dtype=bool))
+    recomputed = ((Q[row] - T[idx]) ** 2).sum(axis=-1)
+    # Bit for bit, so the table's k-th value picks exactly the rows the
+    # recomputed distances rank.
+    np.testing.assert_array_equal(d2.ravel().view(np.int64), recomputed.view(np.int64))
 
 
 @pytest.mark.parametrize("block_pairs", [None, 5 * 114])
@@ -182,9 +220,9 @@ def test_more_tied_rows_than_one_query_asks_for(monkeypatch, block_pairs):
     if block_pairs is not None:
         monkeypatch.setattr(knn_module, "_BLOCK_PAIRS", block_pairs)
     model = KnnModel(train=_matrix(train_x, train_y), k=3)
-    np.testing.assert_array_equal(
-        _vote_matrix(model, _matrix(queries)), brute_force_votes(model, _matrix(queries))
-    )
+    expected = brute_force_votes(model, _matrix(queries))
+    for path in both_paths():
+        np.testing.assert_array_equal(_vote_matrix(model, _matrix(queries)), expected, path)
     from scipy.spatial import cKDTree
 
     steps = list(knn_module._candidates(cKDTree(train_x), queries[:4], 3))
@@ -204,26 +242,27 @@ def test_large_finite_distances_equal_brute_force():
     # Squared spans sum to 3 * (4e153)^2, about 5e307: still finite.
     train_x, train_y, queries = _huge_grid(1e153)
     model = KnnModel(train=_matrix(train_x, train_y), k=5)
-    np.testing.assert_array_equal(
-        _vote_matrix(model, _matrix(queries)),
-        brute_force_votes(model, _matrix(queries)),
-    )
+    expected = brute_force_votes(model, _matrix(queries))
+    for path in both_paths():
+        np.testing.assert_array_equal(_vote_matrix(model, _matrix(queries)), expected, path)
 
 
 def test_overflowing_distances_rejected():
     train_x, train_y, queries = _huge_grid(1e160)
-    model = KnnModel(train=_matrix(train_x, train_y), k=5)
-    with pytest.raises(ValidationError, match="overflow"):
-        knn_predict_labels(model, _matrix(queries))
-    # The queries alone can push the spans past the largest float.
-    model = KnnModel(train=_matrix(train_x / 1e10, train_y), k=5)
-    with pytest.raises(ValidationError, match="overflow"):
-        knn_predict_labels(model, _matrix(queries))
+    for _ in both_paths():
+        model = KnnModel(train=_matrix(train_x, train_y), k=5)
+        with pytest.raises(ValidationError, match="overflow"):
+            knn_predict_labels(model, _matrix(queries))
+        # The queries alone can push the spans past the largest float.
+        model = KnnModel(train=_matrix(train_x / 1e10, train_y), k=5)
+        with pytest.raises(ValidationError, match="overflow"):
+            knn_predict_labels(model, _matrix(queries))
 
 
 def _traced_vote_peak(train_values, rng):
     """Peak traced allocation of _vote_matrix over 1,500 ten-column
-    queries, k = 10, after checking that every query got k votes."""
+    queries, k = 10, after checking that every query got k votes; the
+    larger of the two candidate sources' peaks."""
     model = KnnModel(
         train=_matrix(train_values, rng.integers(0, 4, size=len(train_values))), k=10
     )
@@ -232,14 +271,17 @@ def _traced_vote_peak(train_values, rng):
     # before tracing so that the bound measures only the call.
     import scipy.spatial  # noqa: F401
 
-    tracemalloc.start()
-    try:
-        votes = _vote_matrix(model, queries)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (votes.sum(axis=1) == 10).all()
-    return peak
+    peaks = []
+    for _ in both_paths():
+        tracemalloc.start()
+        try:
+            votes = _vote_matrix(model, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (votes.sum(axis=1) == 10).all()
+        peaks.append(peak)
+    return max(peaks)
 
 
 def test_vote_matrix_memory_stays_near_candidates():
@@ -253,8 +295,9 @@ def test_vote_matrix_memory_stays_near_candidates():
 
 def test_vote_matrix_memory_bounded_when_all_training_rows_tie():
     # Every training row is the same point, so every query doubles its
-    # width up to all 1,500 rows: 2.25M candidate pairs in all. Steps of
-    # at most _BLOCK_PAIRS pairs keep the peak as low as above.
+    # width up to all 1,500 rows, and every row ties at each query's
+    # k-th direct distance: 2.25M candidate pairs in all. Steps of at
+    # most _BLOCK_PAIRS pairs keep the peak as low as above.
     peak = _traced_vote_peak(np.full((1500, 10), 0.25), np.random.default_rng(9))
     assert peak < 16 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
 
