@@ -23,10 +23,11 @@ input; `features` loads what `ingest` does plus `features` and
 `synth`; `pca` loads `matrix` and `pca`; `train`, `evaluate` and
 `report` load `evaluation`, which loads `forest`, `knn` and `pca`; `run`
 loads what `features` and `evaluate` load. `scipy.spatial` is imported
-only where a KNN fit on more than `knn._DIRECT_ROWS` training rows builds
-its kd-tree, and once before `evaluate` forks its fold workers when some
-KNN fold is that large. `features` and `train` never load it, and
-neither do `evaluate` and `run` when every KNN fold is smaller.
+only where a KNN fit on more than `knn._DIRECT_ROWS` (3,584) training
+rows builds its kd-tree, and once before `evaluate` forks its fold
+workers when some KNN fold is that large. `features` and `train` never
+load it, and neither do `evaluate` and `run` when every KNN fold is
+smaller, as on a 2,400-row table-1 feature file.
 
 Exit codes: 0 success, 1 validation, 2 I/O or format, 3 data
 consistency.

@@ -254,8 +254,9 @@ class _FoldJobs:
         return len(self.runs) * self.folds
 
     def needs_kdtree(self) -> bool:
-        """Whether some KNN job fits on enough training rows to take the
-        kd-tree, and so imports scipy.spatial."""
+        """Whether some KNN job fits on more training rows than the
+        direct filter takes (knn.uses_kdtree), so that it builds a kd-tree
+        and imports scipy.spatial."""
         for (_, pipeline, _), (fold, _) in zip(self.runs, self.splits):
             if (isinstance(pipeline, ClassifierPipeline) and pipeline.spec.classifier == "knn"
                     and uses_kdtree(len(fold) - np.bincount(fold, minlength=self.folds).min())):
@@ -308,7 +309,7 @@ def _run_forked(jobs: _FoldJobs, workers: int) -> list[np.ndarray]:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    # KNN fits above the direct-table limit import scipy.spatial on first
+    # KNN fits above the direct filter's limit import scipy.spatial on first
     # use; importing it here once spares every worker its own import.
     # Fits at or below the limit never load it.
     if jobs.needs_kdtree():

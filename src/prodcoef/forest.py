@@ -414,6 +414,8 @@ def rf_fit(X: FeatureMatrix, config: ForestConfig | None = None) -> RandomForest
     config = config or ForestConfig()
     if X.labels is None:
         raise ValidationError("random forest training matrix must carry labels")
+    if X.n_cols == 0:
+        raise ValidationError("random forest training matrix has no feature columns")
     if X.n_rows < 2:
         raise ValidationError(f"need at least 2 training rows, got {X.n_rows}")
 

@@ -389,8 +389,8 @@ _NOT_FEATURES = ("scipy.spatial", "prodcoef.evaluation", "prodcoef.forest", "pro
     pytest.param(["features", "--input", "{scene}", "--has-label", "--radius", "0.3",
                   "--threads", "2", "--out-dir", "{out}"], _NOT_FEATURES,
                  id="features-radius"),
-    # Folds of a few hundred training rows take KNN's direct distance
-    # table, which needs no kd-tree, before and after a fork.
+    # Folds of a few hundred training rows take KNN's direct filter,
+    # which needs no kd-tree, before and after a fork.
     pytest.param(["evaluate", "--features", "{features}", "--table", "1", "--folds", "3",
                   "--trees", "2", "--out-dir", "{out}"],
                  ("scipy.spatial", "prodcoef.las", "prodcoef.synth", "prodcoef.dyadic"),
@@ -422,19 +422,26 @@ def _loaded_modules(argv, preamble=""):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_kdtree_folds_load_scipy_spatial_and_keep_the_table(tmp_path, scene_csv):
-    # With the direct-table limit lowered, every KNN fold takes the
+def test_kdtree_folds_load_scipy_spatial_and_keep_the_table(tmp_path):
+    # Folds at or below the direct filter's limit leave scipy.spatial
+    # unloaded. With the limit lowered, every KNN fold takes the
     # kd-tree: evaluate imports scipy.spatial before it forks its
-    # workers, and the table is the same bytes.
-    argv = ["evaluate", "--features", str(_features(tmp_path, scene_csv)), "--table", "1",
-            "--folds", "3", "--trees", "2", "--threads", "2", "--out-dir"]
-    direct = _loaded_modules([*argv, str(tmp_path / "direct")])
-    kdtree = _loaded_modules([*argv, str(tmp_path / "kdtree")],
-                             preamble="import prodcoef.knn\nprodcoef.knn._DIRECT_ROWS = 0")
-    assert "scipy.spatial" not in direct
-    assert "scipy.spatial" in kdtree
-    assert ((tmp_path / "direct" / "table1.csv").read_bytes()
-            == (tmp_path / "kdtree" / "table1.csv").read_bytes())
+    # workers, and the table is the same bytes. The second shape is the
+    # benchmark's knn_table1: 2,400 rows, five folds of 1,920 training
+    # rows.
+    for per_class, options in ((60, ["--folds", "3", "--trees", "2"]), (600, ["--trees", "1"])):
+        out = tmp_path / str(per_class)
+        assert main(["synth", "--classes", "4", "--points-per-class", str(per_class),
+                     "--seed", "7", "--out-dir", str(out)]) == 0
+        argv = ["evaluate", "--features", str(_features(out, out / "scene.csv")), "--table", "1",
+                *options, "--threads", "2", "--out-dir"]
+        direct = _loaded_modules([*argv, str(out / "direct")])
+        kdtree = _loaded_modules([*argv, str(out / "kdtree")],
+                                 preamble="import prodcoef.knn\nprodcoef.knn._DIRECT_ROWS = 0")
+        assert "scipy.spatial" not in direct, per_class
+        assert "scipy.spatial" in kdtree, per_class
+        assert ((out / "direct" / "table1.csv").read_bytes()
+                == (out / "kdtree" / "table1.csv").read_bytes()), per_class
 
 
 def test_threads_do_not_change_default_radius_features(tmp_path, scene_csv):

@@ -247,6 +247,12 @@ def test_insufficient_data():
         rf_fit(_matrix([[0.0], [1.0]]))  # unlabeled
 
 
+def test_zero_column_training_rejected():
+    train = FeatureMatrix(np.empty((4, 0)), (), np.array([0, 1, 0, 1]))
+    with pytest.raises(ValidationError, match="no feature columns"):
+        rf_fit(train, ForestConfig(n_trees=1, seed=0))
+
+
 def test_prediction_column_mismatch():
     rng = np.random.default_rng(15)
     X = _matrix(rng.uniform(size=(20, 3)), rng.integers(0, 2, size=20))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from prodcoef.errors import ValidationError
 import prodcoef.knn as knn_module
@@ -183,29 +182,62 @@ def test_vote_matrix_equals_brute_force_on_tie_grids(case):
 
 
 @st.composite
-def distance_cases(draw):
-    """Queries and training rows of 1-12 columns, across numpy's change
-    of summation order at 8 terms, with magnitudes far apart so that the
-    order shows in the last bits."""
+def near_tie_cases(draw):
+    """Rows of 1-12 columns on a small integer grid, offset far from
+    zero, scaled to magnitudes from 1e-300 to 1e150 (at 1e-161 the
+    products are subnormal), and each value moved a few ulps: many
+    distances tie or differ only in the last bits of the product's
+    rounding."""
     d = draw(st.integers(1, 12))
-    values = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
-    queries = draw(arrays(np.float64, (draw(st.integers(1, 6)), d), elements=values))
-    train = draw(arrays(np.float64, (draw(st.integers(1, 6)), d), elements=values))
-    scale = draw(st.sampled_from([1.0, 1e-3, 1e50]))
-    return queries, train * scale
+    side = draw(st.integers(2, 4))
+    grid_row = st.lists(st.integers(0, side - 1), min_size=d, max_size=d)
+    train = np.array(draw(st.lists(grid_row, min_size=1, max_size=40)), dtype=float)
+    queries = np.array(draw(st.lists(grid_row, min_size=1, max_size=12)), dtype=float)
+    copied = draw(st.lists(st.integers(0, len(train) - 1), max_size=len(queries)))
+    queries[: len(copied)] = train[copied]
+    offset = draw(st.sampled_from([0.0, 1.0, -1e3, 1e8, 1e15]))
+    scale = draw(st.sampled_from([1e-300, 1e-161, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e150]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+
+    def perturbed(values):
+        values = (values + offset) * scale
+        for _ in range(2):
+            step = rng.integers(-1, 2, size=values.shape)
+            moved = np.nextafter(values, np.where(step < 0, -np.inf, np.inf))
+            values = np.where(step == 0, values, moved)
+        return values
+
+    k = draw(st.integers(1, len(train)))
+    per_block = draw(st.none() | st.integers(1, len(queries)))
+    labels = rng.integers(0, 3, size=len(train))
+    return perturbed(train), labels, perturbed(queries), k, per_block
 
 
 @settings(max_examples=300, deadline=None)
-@given(distance_cases())
-def test_direct_table_equals_recomputed_distances(case):
-    Q, T = case
-    squares = np.empty((Q.shape[1], len(Q), len(T)))
-    d2 = knn_module._squared_distances(Q, np.ascontiguousarray(T.T), squares)
-    row, idx = np.nonzero(np.ones(d2.shape, dtype=bool))
-    recomputed = ((Q[row] - T[idx]) ** 2).sum(axis=-1)
-    # Bit for bit, so the table's k-th value picks exactly the rows the
-    # recomputed distances rank.
-    np.testing.assert_array_equal(d2.ravel().view(np.int64), recomputed.view(np.int64))
+@given(near_tie_cases())
+def test_direct_candidates_hold_every_row_up_to_the_kth_distance(case):
+    train_x, train_y, queries, k, per_block = case
+    with pytest.MonkeyPatch.context() as patch:
+        if per_block is not None:
+            patch.setattr(knn_module, "_BLOCK_PAIRS", per_block * len(train_x))
+        centers = knn_module._span_centers(train_x, queries)
+        steps = list(knn_module._direct_candidates(train_x - centers, queries - centers, k))
+        model = KnnModel(train=_matrix(train_x, train_y), k=k)
+        expected = brute_force_votes(model, _matrix(queries))
+        with pytest.MonkeyPatch.context() as direct:
+            direct.setattr(knn_module, "_DIRECT_ROWS", 10**9)
+            got = _vote_matrix(model, _matrix(queries))
+    row, idx = (np.concatenate(arrays) for arrays in zip(*steps))
+    kept = set(zip(row.tolist(), idx.tolist()))
+    for i, q in enumerate(queries):
+        # The distances the votes are decided on, recomputed as they are
+        # for the candidates.
+        d2 = ((q - train_x) ** 2).sum(axis=-1)
+        kth = np.partition(d2, k - 1)[k - 1]
+        needed = {(i, j) for j in np.nonzero(d2 <= kth)[0].tolist()}
+        assert needed <= kept, (i, sorted(needed - kept))
+    np.testing.assert_array_equal(got, expected)
 
 
 @pytest.mark.parametrize("block_pairs", [None, 5 * 114])
@@ -310,6 +342,12 @@ def test_k_larger_than_training_rejected():
 def test_missing_labels_rejected():
     with pytest.raises(ValidationError):
         KnnModel(train=_matrix([[0, 0]]), k=1)
+
+
+def test_zero_column_training_rejected():
+    train = FeatureMatrix(np.empty((3, 0)), (), np.array([0, 1, 1]))
+    with pytest.raises(ValidationError, match="no feature columns"):
+        KnnModel(train=train, k=1)
 
 
 def test_column_mismatch_rejected():
