@@ -219,15 +219,14 @@ def near_tie_cases(draw):
 def test_direct_candidates_hold_every_row_up_to_the_kth_distance(case):
     train_x, train_y, queries, k, per_block = case
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(knn_module, "_DIRECT_ROWS", 10**9)
         if per_block is not None:
             patch.setattr(knn_module, "_BLOCK_PAIRS", per_block * len(train_x))
         centers = knn_module._span_centers(train_x, queries)
         steps = list(knn_module._direct_candidates(train_x - centers, queries - centers, k))
         model = KnnModel(train=_matrix(train_x, train_y), k=k)
         expected = brute_force_votes(model, _matrix(queries))
-        with pytest.MonkeyPatch.context() as direct:
-            direct.setattr(knn_module, "_DIRECT_ROWS", 10**9)
-            got = _vote_matrix(model, _matrix(queries))
+        got = _vote_matrix(model, _matrix(queries))
     row, idx = (np.concatenate(arrays) for arrays in zip(*steps))
     kept = set(zip(row.tolist(), idx.tolist()))
     for i, q in enumerate(queries):
