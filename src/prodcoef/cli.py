@@ -9,7 +9,7 @@ count (threads must not affect results).
 `--seed` and `--out-dir` are on every stage command (`report` takes
 only `--out-dir`). `--threads`, on `features`, `evaluate` and `run`
 only, sets the workers of the three parallel steps: in `features`,
-threads for the runs of centers of radius neighborhoods and threads
+threads for the blocks of centers of radius neighborhoods and threads
 for the pieces of the whole-cloud count at a radius of sqrt(3) or
 more; in `evaluate`, forked processes for the cross-validation folds
 (POSIX fork; each worker process holds one fold's model at a time). 0
@@ -24,10 +24,9 @@ input; `features` loads what `ingest` does plus `features` and
 `report` load `evaluation`, which loads `forest`, `knn` and `pca`; `run`
 loads what `features` and `evaluate` load. `scipy.spatial` is imported
 only where a KNN fit on more than `knn._DIRECT_ROWS` (3,584) training
-rows builds its kd-tree, and once before `evaluate` forks its fold
-workers when some KNN fold is that large. `features` and `train` never
-load it, and neither do `evaluate` and `run` when every KNN fold is
-smaller, as on a 2,400-row table-1 feature file.
+rows builds its kd-tree, in whichever process runs that fit. `features`
+and `train` never load it, and neither do `evaluate` and `run` when
+every KNN fold is smaller, as on a 2,400-row table-1 feature file.
 
 Exit codes: 0 success, 1 validation, 2 I/O or format, 3 data
 consistency.
@@ -101,10 +100,21 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
     return digests
 
 
+def _make_dir(path: Path) -> Path:
+    """Make the directory `path` and its parents if missing; one that
+    cannot be made, such as a path through a regular file, is an I/O
+    error naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FormatError(
+            f"cannot make output directory {path}: {type(exc).__name__}: {exc}"
+        ) from None
+    return path
+
+
 def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return _make_dir(Path(args.out_dir))
 
 
 def _load_cloud(args):
@@ -419,7 +429,7 @@ def _write_tables(out: Path, reports) -> list[Path]:
     from .evaluation import render_report
 
     tables = render_report(reports)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     paths = []
     for name, text in tables.items():
         paths.append(out / TABLE_FILES[name])
@@ -456,7 +466,7 @@ def _add_common(parser: _Parser) -> None:
 def _add_threads(parser: _Parser) -> None:
     parser.add_argument("--threads", type=int, default=1,
                         help="workers: threads for the radius neighborhoods' "
-                             "runs of centers and for the whole-cloud "
+                             "blocks of centers and for the whole-cloud "
                              "count's pieces, forked processes for "
                              "cross-validation folds; 0 = auto; never changes "
                              "results")

@@ -35,7 +35,7 @@ import numpy as np
 from .choices import F1_AVERAGES
 from .errors import ProdcoefError, ValidationError
 from .forest import ForestConfig, RandomForestModel, rf_fit, rf_predict_labels
-from .knn import KnnModel, knn_predict_labels, uses_kdtree
+from .knn import KnnModel, knn_predict_labels
 from .matrix import FeatureMatrix
 from .pca import PcaModel, fit_pca, transform
 from .workers import worker_count
@@ -253,16 +253,6 @@ class _FoldJobs:
     def __len__(self) -> int:
         return len(self.runs) * self.folds
 
-    def needs_kdtree(self) -> bool:
-        """Whether some KNN job fits on more training rows than the
-        direct filter takes (knn.uses_kdtree), so that it builds a kd-tree
-        and imports scipy.spatial."""
-        for (_, pipeline, _), (fold, _) in zip(self.runs, self.splits):
-            if (isinstance(pipeline, ClassifierPipeline) and pipeline.spec.classifier == "knn"
-                    and uses_kdtree(len(fold) - np.bincount(fold, minlength=self.folds).min())):
-                return True
-        return False
-
     def __call__(self, job: int) -> np.ndarray:
         run, f = divmod(job, self.folds)
         features, pipeline, _ = self.runs[run]
@@ -308,12 +298,6 @@ def _run_forked(jobs: _FoldJobs, workers: int) -> list[np.ndarray]:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
-
-    # KNN fits above the direct filter's limit import scipy.spatial on first
-    # use; importing it here once spares every worker its own import.
-    # Fits at or below the limit never load it.
-    if jobs.needs_kdtree():
-        import scipy.spatial  # noqa: F401
 
     chunksize = max(1, len(jobs) // (4 * workers))
     # Frozen objects are left out of garbage collection, so the workers'

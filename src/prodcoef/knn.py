@@ -46,8 +46,10 @@ about log(n_train) distances plus the import of scipy.spatial, some
 the product than on the tree with its import: at 3,584 training rows it
 ran 137 ms faster, at 3,840 89 ms slower (medians of 15 alternated
 pairs, 2-vCPU machine, OpenBLAS on one thread).
-The tree path imports scipy.spatial when it runs, so a process whose
-fits all stay at or below the limit never loads it. A north-star fold,
+The tree path imports scipy.spatial when it runs, and this is the only
+place that loads it: a process whose fits all stay at or below the
+limit never loads it, and each forked cross-validation worker imports
+it at its own first kd-tree fit. A north-star fold,
 about 55,500 queries against 222,000 training rows, takes the tree: its
 product would hold some 12 billion values.
 
@@ -129,12 +131,6 @@ def _span_centers(T: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return lo + (hi - lo) * 0.5
 
 
-def uses_kdtree(n_train: int) -> bool:
-    """Whether a fit on n_train training rows takes its candidates from
-    a kd-tree, and so imports scipy.spatial, instead of a matrix product."""
-    return n_train > _DIRECT_ROWS
-
-
 def _vote_matrix(model: KnnModel, queries: FeatureMatrix) -> np.ndarray:
     """(queries, classes) count of each class among the k nearest rows."""
     if queries.n_cols != model.train.n_cols:
@@ -147,7 +143,7 @@ def _vote_matrix(model: KnnModel, queries: FeatureMatrix) -> np.ndarray:
     classes = model.classes
     positions = np.searchsorted(classes, model.train.labels)
     centers = _span_centers(T, Q)
-    if uses_kdtree(len(T)):
+    if len(T) > _DIRECT_ROWS:
         # Imported here so that only fits above the limit load scipy.spatial.
         from scipy.spatial import cKDTree
 

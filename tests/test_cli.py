@@ -423,25 +423,32 @@ def _loaded_modules(argv, preamble=""):
 
 
 def test_kdtree_folds_load_scipy_spatial_and_keep_the_table(tmp_path):
-    # Folds at or below the direct filter's limit leave scipy.spatial
-    # unloaded. With the limit lowered, every KNN fold takes the
-    # kd-tree: evaluate imports scipy.spatial before it forks its
-    # workers, and the table is the same bytes. The second shape is the
-    # benchmark's knn_table1: 2,400 rows, five folds of 1,920 training
-    # rows.
+    # With the direct filter's limit lowered to 0 rows, every KNN fold
+    # takes the kd-tree and the table is the same bytes. The kd-tree fit
+    # imports scipy.spatial where it runs: at --threads 2 that is in the
+    # forked workers, so the parent never loads it, direct or not; at
+    # --threads 1 the fit runs in the parent, which then has it loaded,
+    # so the lowered limit did reach the kd-tree path. The second shape
+    # is the benchmark's knn_table1: 2,400 rows, five folds of 1,920
+    # training rows.
+    kdtree = "import prodcoef.knn\nprodcoef.knn._DIRECT_ROWS = 0"
     for per_class, options in ((60, ["--folds", "3", "--trees", "2"]), (600, ["--trees", "1"])):
         out = tmp_path / str(per_class)
         assert main(["synth", "--classes", "4", "--points-per-class", str(per_class),
                      "--seed", "7", "--out-dir", str(out)]) == 0
         argv = ["evaluate", "--features", str(_features(out, out / "scene.csv")), "--table", "1",
-                *options, "--threads", "2", "--out-dir"]
-        direct = _loaded_modules([*argv, str(out / "direct")])
-        kdtree = _loaded_modules([*argv, str(out / "kdtree")],
-                                 preamble="import prodcoef.knn\nprodcoef.knn._DIRECT_ROWS = 0")
+                *options, "--out-dir"]
+        threads2 = ["--threads", "2"]
+        direct = _loaded_modules([*argv, str(out / "direct"), *threads2])
+        forked = _loaded_modules([*argv, str(out / "forked"), *threads2], preamble=kdtree)
+        serial = _loaded_modules([*argv, str(out / "serial"), "--threads", "1"],
+                                 preamble=kdtree)
         assert "scipy.spatial" not in direct, per_class
-        assert "scipy.spatial" in kdtree, per_class
-        assert ((out / "direct" / "table1.csv").read_bytes()
-                == (out / "kdtree" / "table1.csv").read_bytes()), per_class
+        assert "scipy.spatial" not in forked, per_class
+        assert "scipy.spatial" in serial, per_class
+        table = (out / "direct" / "table1.csv").read_bytes()
+        for name in ("forked", "serial"):
+            assert (out / name / "table1.csv").read_bytes() == table, (per_class, name)
 
 
 def test_threads_do_not_change_default_radius_features(tmp_path, scene_csv):
@@ -783,6 +790,20 @@ def test_every_flag_is_read(tmp_path, stage_inputs, command):
     args.reads.clear()
     assert args.func(args) == 0
     assert declared - args.reads == set()
+
+
+@pytest.mark.parametrize("command", list(_STAGE_ARGS))
+def test_out_dir_that_cannot_be_made_gives_io_exit(tmp_path, stage_inputs, command, capsys):
+    # A regular file, or a path through one, cannot be an output
+    # directory; that is an I/O error naming the path, not a traceback.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        argv = [command, *(a.format(root=stage_inputs) for a in _STAGE_ARGS[command]),
+                "--out-dir", str(out)]
+        assert main(argv) == 2, out
+        err = capsys.readouterr().err
+        assert str(out) in err and "Traceback" not in err, err
 
 
 def test_manifest_records_digests(tmp_path, scene_csv):

@@ -172,12 +172,15 @@ class TestRadiusNeighbors:
         assert counts[-1].sum() == counts[-2].sum() == 201
         np.testing.assert_array_equal(counts, naive_octant_counts(corners, radius))
 
-    def test_many_tasks_on_many_threads_equal_naive_scan(self):
+    def test_many_tasks_on_many_threads_equal_naive_scan(self, monkeypatch):
         # Small tasks on 8 threads add into one array, each thread reusing
         # its own scratch arrays; switch threads as often as possible so
-        # a lost update or a shared buffer would show.
+        # a lost update or a shared buffer would show. Blocks of 32
+        # centers make 13 tasks, more than the threads, each split into
+        # runs of at most 64 candidates.
         rng = np.random.default_rng(19)
         xyz = rng.integers(0, 6, size=(400, 3)) / 5.0
+        monkeypatch.setattr(features_module, "_BLOCK_CENTERS", 32)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -443,22 +446,30 @@ class TestRadiusPairSource:
 
     @pytest.mark.parametrize("size", [1, 63, 64, 65, 197])
     @pytest.mark.parametrize("include_center", [True, False])
-    def test_chunk_boundary_sizes_equal_naive_scan(self, size, include_center):
+    def test_chunk_boundary_sizes_equal_naive_scan(self, size, include_center, monkeypatch):
         # Five values per axis and a third of the rows repeating another
-        # row: tasks of one center each split runs of identical points
-        # and of ties on one axis, and one task holds them all.
+        # row: runs of one center each split runs of identical points
+        # and of ties on one axis, and one run holds a whole block. With
+        # blocks of 64 centers, sizes 63, 64, 65 and 197 end before, on
+        # and past a block edge; a budget of 100 candidates makes runs of
+        # one to a few dozen centers that end inside a block and at its
+        # edge.
         rng = np.random.default_rng(size)
         grid = rng.integers(0, 5, size=(size - size // 3, 3))
         grid = np.vstack([grid, grid[rng.integers(0, len(grid), size=size // 3)]])
         cloud = PointCloud(xyz=grid[rng.permutation(size)] / 4.0, normalized=True)
         assert len(cloud) == size
+        blocks = (features_module._BLOCK_CENTERS, 64)
         for radius in (0.1, 0.3, 0.8):
             spec = NeighborhoodSpec(radius=radius, include_center=include_center)
             assert_features_equal_naive_scan(cloud, spec)
-            whole = _octant_counts_radius(cloud.xyz, radius, budget=2**62)
-            for threads in (1, 3):
-                np.testing.assert_array_equal(
-                    _octant_counts_radius(cloud.xyz, radius, threads, budget=1), whole)
+            naive = naive_octant_counts(cloud.xyz, radius)
+            for block in blocks:
+                monkeypatch.setattr(features_module, "_BLOCK_CENTERS", block)
+                for budget, threads in itertools.product((1, 100, 2**62), (1, 2, 3)):
+                    np.testing.assert_array_equal(
+                        _octant_counts_radius(cloud.xyz, radius, threads, budget=budget),
+                        naive, err_msg=f"r={radius} block={block} budget={budget}")
 
     @pytest.mark.parametrize("radius", [0.5, 2.0])
     def test_neighborhood_sizes_logged(self, caplog, radius):
