@@ -438,11 +438,9 @@ def test_kdtree_folds_load_scipy_spatial_and_keep_the_table(tmp_path):
                      "--seed", "7", "--out-dir", str(out)]) == 0
         argv = ["evaluate", "--features", str(_features(out, out / "scene.csv")), "--table", "1",
                 *options, "--out-dir"]
-        threads2 = ["--threads", "2"]
-        direct = _loaded_modules([*argv, str(out / "direct"), *threads2])
-        forked = _loaded_modules([*argv, str(out / "forked"), *threads2], preamble=kdtree)
-        serial = _loaded_modules([*argv, str(out / "serial"), "--threads", "1"],
-                                 preamble=kdtree)
+        direct = _loaded_modules([*argv, str(out / "direct"), "--threads", "2"])
+        forked = _loaded_modules([*argv, str(out / "forked"), "--threads", "2"], preamble=kdtree)
+        serial = _loaded_modules([*argv, str(out / "serial"), "--threads", "1"], preamble=kdtree)
         assert "scipy.spatial" not in direct, per_class
         assert "scipy.spatial" not in forked, per_class
         assert "scipy.spatial" in serial, per_class
