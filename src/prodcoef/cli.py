@@ -8,12 +8,15 @@ count (threads must not affect results).
 
 `--seed` and `--out-dir` are on every stage command (`report` takes
 only `--out-dir`). `--threads`, on `features`, `evaluate` and `run`
-only, sets the workers of the three parallel steps: in `features`,
-threads for the blocks of centers of radius neighborhoods and threads
-for the pieces of the whole-cloud count at a radius of sqrt(3) or
-more; in `evaluate`, forked processes for the cross-validation folds
-(POSIX fork; each worker process holds one fold's model at a time). 0
-means one per CPU; the default 1 runs everything in this thread.
+only, sets the workers of the four parallel steps: in `features`,
+threads for the blocks of centers of radius neighborhoods, threads for
+the pieces of the whole-cloud count at a radius of sqrt(3) or more,
+and forked formatter processes for contiguous row ranges of
+features.csv (each range of at least `matrix._WRITE_ROWS` rows); in
+`evaluate`, forked processes for the cross-validation folds (each
+worker process holds one fold's model at a time). Forking needs POSIX
+fork. 0 means one per CPU; the default 1 runs everything in this
+thread.
 
 Each command imports the stage modules it runs when it runs, so
 `--help` and argument errors load no numpy. `synth` loads the `synth`
@@ -85,6 +88,11 @@ def _digest(path: Path) -> str:
     return "sha256:" + h.hexdigest()
 
 
+def _digest_bytes(data: bytes) -> str:
+    """`_digest` of a file that holds `data`."""
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -118,18 +126,21 @@ def _out_dir(args) -> Path:
 
 
 def _load_cloud(args):
+    """(cloud, LAS header summary or None, input digest) of --input. A
+    LAS file is read once, for both; a CSV file is digested by a second
+    read."""
     path = Path(args.input)
     fmt = args.format
     if fmt == "auto":
         fmt = "las" if path.suffix.lower() == ".las" else "csv"
     if fmt == "las":
-        from .las import read_las
+        from .las import parse_las, read_bytes
 
-        cloud, header = read_las(path)
-        return cloud, header
+        data = read_bytes(path)
+        return *parse_las(data, path), _digest_bytes(data)
     from .pointcloud import read_csv
 
-    return read_csv(path, has_label=args.has_label), None
+    return read_csv(path, has_label=args.has_label), None, _digest(path)
 
 
 def _input_config(args) -> dict:
@@ -146,15 +157,14 @@ def cmd_ingest(args) -> int:
     from .pointcloud import normalize_unit_cube, write_csv
 
     out = _out_dir(args)
-    cloud, header = _load_cloud(args)
+    cloud, header, input_digest = _load_cloud(args)
     cloud = normalize_unit_cube(cloud, mode=args.normalize)
     points_path = out / "points.csv"
     write_csv(cloud, points_path)
     config = _input_config(args)
     if header is not None:
         config["las_header"] = asdict(header)
-    input_path = Path(args.input)
-    _write_manifest(out, "ingest", config, {input_path.name: _digest(input_path)},
+    _write_manifest(out, "ingest", config, {Path(args.input).name: input_digest},
                     [points_path])
     log.info("ingest: %d points -> %s", len(cloud), points_path)
     return 0
@@ -187,17 +197,16 @@ def _run_features(args, out: Path) -> tuple[Path, str, FeatureMatrix, dict]:
     from .pointcloud import normalize_unit_cube
 
     started = time.perf_counter()
-    cloud, _ = _load_cloud(args)
+    cloud, _, input_digest = _load_cloud(args)
     cloud = normalize_unit_cube(cloud, mode=args.normalize)
     spec = NeighborhoodSpec(radius=args.radius, include_center=not args.no_include_center)
     matrix = extract_features(cloud, spec, threads=args.threads)
     features_path = out / "features.csv"
-    write_feature_csv(matrix, features_path)
+    write_feature_csv(matrix, features_path, args.threads)
     config = {**_input_config(args), "radius": spec.radius,
               "include_center": spec.include_center}
-    input_path = Path(args.input)
     digests = _write_manifest(out, "features", config,
-                              {input_path.name: _digest(input_path)}, [features_path])
+                              {Path(args.input).name: input_digest}, [features_path])
     log.info("features: %d rows in %.2fs -> %s",
              matrix.n_rows, time.perf_counter() - started, features_path)
     return features_path, digests[features_path.name], matrix, config
@@ -467,7 +476,8 @@ def _add_threads(parser: _Parser) -> None:
     parser.add_argument("--threads", type=int, default=1,
                         help="workers: threads for the radius neighborhoods' "
                              "blocks of centers and for the whole-cloud "
-                             "count's pieces, forked processes for "
+                             "count's pieces, forked formatter processes for "
+                             "features.csv's row ranges, forked processes for "
                              "cross-validation folds; 0 = auto; never changes "
                              "results")
 

@@ -240,6 +240,20 @@ class _ColumnGrid:
         return starts, np.where(inside, ends, starts)
 
 
+def _runs(totals: np.ndarray, budget: int):
+    """Yield the (start, stop) of consecutive runs of centers, in order,
+    given each center's candidate count in `totals`. Each run is the
+    longest from its start with at most `budget` candidates, or a single
+    center that has more."""
+    through = np.cumsum(totals)  # candidates of the centers up to each
+    a = 0
+    while a < len(totals):
+        b = int(np.searchsorted(through, through[a] - totals[a] + budget, side="right"))
+        b = max(b, a + 1)
+        yield a, b
+        a = b
+
+
 def _octant_counts_radius(xyz: np.ndarray, radius: float, threads: int = 1,
                           budget: int = _RUN_PAIRS) -> np.ndarray:
     """(n, 8) octant counts of every point over its radius neighborhood.
@@ -319,16 +333,9 @@ def _octant_counts_radius(xyz: np.ndarray, radius: float, threads: int = 1,
             counts[lo:lo + width] += other
 
     def count_block(lo):
-        hi = min(lo + _BLOCK_CENTERS, len(xyz))
-        starts, ends = grid.ranges(lo, hi)
-        totals = (ends - starts).sum(axis=1)
-        through = np.cumsum(totals)  # candidates of the centers up to each
-        a = 0
-        while a < hi - lo:
-            b = int(np.searchsorted(through, through[a] - totals[a] + budget, side="right"))
-            b = max(b, a + 1)
+        starts, ends = grid.ranges(lo, min(lo + _BLOCK_CENTERS, len(xyz)))
+        for a, b in _runs((ends - starts).sum(axis=1), budget):
             count(lo + a, starts[a:b], ends[a:b])
-            a = b
 
     _map_tasks(count_block, range(0, len(xyz), _BLOCK_CENTERS), threads)
     out = np.empty_like(counts)

@@ -45,18 +45,29 @@ class LasHeaderSummary:
 
 
 def read_las(path) -> tuple[PointCloud, LasHeaderSummary]:
-    """Parse a LAS file into (cloud, header summary).
+    """Parse the LAS file at `path` into (cloud, header summary); see
+    `parse_las`."""
+    return parse_las(read_bytes(path), path)
+
+
+def read_bytes(path) -> bytes:
+    """Every byte of the file at `path`; one that cannot be read is a
+    FormatError naming it."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise FormatError(f"cannot open {path}: {exc}") from None
+
+
+def parse_las(data: bytes, path) -> tuple[PointCloud, LasHeaderSummary]:
+    """Parse `data`, the bytes of the LAS file at `path`, into (cloud,
+    header summary).
 
     Coordinates are reconstructed as raw * scale + offset in float64.
     The classification byte becomes the point label (low 5 bits for
     formats 0-5, full byte for 6-8).
     """
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise FormatError(f"cannot open {path}: {exc}") from None
-
     if len(data) < 4 or data[:4] != MAGIC:
         raise FormatError(f"{path}: not a LAS file (bad magic bytes {data[:4]!r})")
     if len(data) < 227:

@@ -1,5 +1,8 @@
 import argparse
+import builtins
 import csv
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -462,14 +465,43 @@ def test_threads_do_not_change_default_radius_features(tmp_path, scene_csv):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
-def test_threads_do_not_change_radius_features(tmp_path, scene_csv):
-    for threads in ("1", "2", "0"):
+def test_threads_do_not_change_radius_features(tmp_path, scene_csv, monkeypatch):
+    # With parts of at least 16 rows, features.csv's 240 rows are written
+    # by 1, 2 and 3 processes (and one per CPU at 0).
+    monkeypatch.setattr("prodcoef.matrix._WRITE_ROWS", 16)
+    for threads in ("1", "2", "3", "0"):
         assert main([
             "features", "--input", str(scene_csv), "--has-label", "--radius", "0.12",
             "--threads", threads, "--out-dir", str(tmp_path / f"t{threads}"),
         ]) == 0
-    _same_files(tmp_path / "t1", tmp_path / "t2")
-    _same_files(tmp_path / "t1", tmp_path / "t0")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    for threads in ("2", "3", "0"):
+        _same_files(tmp_path / "t1", tmp_path / f"t{threads}")
+
+
+@pytest.mark.parametrize("command", ["ingest", "features"])
+def test_las_input_is_read_once(tmp_path, monkeypatch, command):
+    # The manifest's input digest comes from the bytes read_las parsed.
+    las = tmp_path / "tile.las"
+    las.write_bytes(build_las(raw_xyz=[(i, 7 * i % 5, 3 * i % 4) for i in range(12)],
+                              classifications=[i % 3 for i in range(12)]))
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    out = tmp_path / "out"
+    assert main([command, "--input", str(las), "--out-dir", str(out)]) == 0
+    assert [Path(f).resolve() for f in opened if isinstance(f, (str, Path))].count(
+        las.resolve()) == 1
+    manifest = json.loads((out / f"{command}.manifest.json").read_text())
+    digest = "sha256:" + hashlib.sha256(las.read_bytes()).hexdigest()
+    assert manifest["inputs"] == {"tile.las": digest}
 
 
 @pytest.mark.parametrize("command", ["ingest", "features"])

@@ -3,6 +3,8 @@ import logging
 import os
 import subprocess
 import sys
+import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from prodcoef.features import (
     _finish_octant_counts,
     _octant_counts_radius,
     _octant_counts_whole_cloud,
+    _runs,
     extract_features,
 )
 from prodcoef.pointcloud import PointCloud, normalize_unit_cube
@@ -188,6 +191,67 @@ class TestRadiusNeighbors:
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(got, naive_octant_counts(xyz, 0.3))
+
+    def test_overlapping_adds_from_many_threads_lose_no_update(self, monkeypatch):
+        # Each run's bincounts add into the shared counts array, and the
+        # rows that runs of two blocks touch overlap. Here every such add
+        # reads its rows, sleeps, then writes them back, so two threads
+        # adding to the same rows at once would lose one add; only the
+        # lock that serializes the adds keeps the counts exact.
+        class SlowAdd(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+                (target,) = out
+                total = ufunc(*(x.view(np.ndarray) for x in inputs))
+                time.sleep(0.002)
+                target.view(np.ndarray)[...] = total
+                return target
+
+        def slow_bincount(*args, **kwargs):
+            return np.bincount(*args, **kwargs).view(SlowAdd)
+
+        rng = np.random.default_rng(23)
+        xyz = rng.integers(0, 6, size=(400, 3)) / 5.0
+        expected = naive_octant_counts(xyz, 0.3)
+        numpy_with_slow_adds = types.SimpleNamespace(**vars(np))
+        numpy_with_slow_adds.bincount = slow_bincount
+        monkeypatch.setattr(features_module, "np", numpy_with_slow_adds)
+        monkeypatch.setattr(features_module, "_BLOCK_CENTERS", 32)
+        got = _octant_counts_radius(xyz, 0.3, threads=8, budget=256)
+        np.testing.assert_array_equal(got.view(np.ndarray), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=30), st.integers(1, 60))
+    def test_runs_hold_at_most_budget_candidates(self, totals, budget):
+        runs = list(_runs(np.array(totals, dtype=np.int64), budget))
+        assert [a for a, _ in runs] == [0] + [b for _, b in runs[:-1]]
+        assert runs[-1][1] == len(totals)
+        for a, b in runs:
+            assert sum(totals[a:b]) <= budget or b == a + 1, (a, b)
+            # The run is as long as the budget allows.
+            assert b == len(totals) or sum(totals[a:b + 1]) > budget, (a, b)
+
+    def test_radius_count_runs_hold_at_most_budget_candidates(self, monkeypatch):
+        # The runs that the count walks, over its blocks' real candidate
+        # totals, keep the budget; a center with more is a run alone.
+        seen = []
+
+        def recording_runs(totals, budget):
+            runs = list(_runs(totals, budget))
+            seen.append((totals.tolist(), runs))
+            return runs
+
+        rng = np.random.default_rng(29)
+        xyz = rng.uniform(size=(500, 3))
+        monkeypatch.setattr(features_module, "_runs", recording_runs)
+        monkeypatch.setattr(features_module, "_BLOCK_CENTERS", 64)
+        got = _octant_counts_radius(xyz, 0.25, budget=50)
+        np.testing.assert_array_equal(got, naive_octant_counts(xyz, 0.25))
+        assert len(seen) == 8 and sum(len(t) for t, _ in seen) == len(xyz)
+        assert any(b - a > 1 for _, runs in seen for a, b in runs)
+        assert any(totals[a] > 50 for totals, runs in seen for a, _ in runs)
+        for totals, runs in seen:
+            for a, b in runs:
+                assert sum(totals[a:b]) <= 50 or b == a + 1, (a, b)
 
     def test_tiny_radius_caps_columns(self):
         # At r = 1e-9 a grid of r/2 columns would have 2e9 columns per

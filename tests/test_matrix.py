@@ -1,4 +1,7 @@
 import builtins
+import os
+import signal
+import tempfile
 import warnings
 
 import numpy as np
@@ -10,6 +13,7 @@ import prodcoef.matrix as matrix_module
 from prodcoef.errors import FormatError, ProdcoefError, ValidationError
 from prodcoef.matrix import FeatureMatrix, read_feature_csv, write_feature_csv
 from prodcoef.pointcloud import read_csv
+from prodcoef.workers import worker_count
 
 
 def test_basic_shape_and_names():
@@ -94,6 +98,102 @@ def test_write_csv_extreme_values_exact_text(tmp_path, monkeypatch, batch):
         "0.30000000000000004,1.7976931348623157e+308,1.0\n"
         "0.5,-1.7976931348623157e+308,1e-17\n"
     )
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def spools(monkeypatch):
+    """The temporary files that write_feature_csv makes, as made."""
+    made = []
+    temporary_file = tempfile.TemporaryFile
+
+    def recording(*args, **kwargs):
+        made.append(temporary_file(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+    return made
+
+
+@pytest.mark.parametrize("n_rows", [7, 8, 11, 13, 15, 26])
+@pytest.mark.parametrize("labelled", [True, False], ids=["labels", "no labels"])
+def test_forked_write_has_the_same_bytes_for_any_workers(tmp_path, monkeypatch, spools,
+                                                         n_rows, labelled):
+    # Parts have at least _WRITE_ROWS = 4 rows and are formatted 4 rows at
+    # a time, so a part ends before a batch boundary (15 rows on 2
+    # workers: 7 + 8), on one (13 rows on 3: 4 + 4 + 5) and past one (11
+    # rows on 2: 5 + 6); 7 rows stay one part.
+    monkeypatch.setattr(matrix_module, "_WRITE_ROWS", 4)
+    forks = []
+    fork_part = matrix_module._fork_part
+
+    def counting_fork_part(*args):
+        forks.append(args[1:3])
+        return fork_part(*args)
+
+    monkeypatch.setattr(matrix_module, "_fork_part", counting_fork_part)
+    rng = np.random.default_rng(n_rows)
+    values = rng.normal(size=(n_rows, 3)) * 10.0 ** rng.integers(-300, 300, size=(n_rows, 3))
+    labels = rng.integers(-2**63, 2**63 - 1, size=n_rows) if labelled else None
+    rows = [[repr(v) for v in row] for row in values.tolist()]
+    if labelled:
+        for row, label in zip(rows, labels.tolist()):
+            row.append(str(label))
+    expected = ("a,b,c,label\n" if labelled else "a,b,c\n") + "".join(
+        ",".join(row) + "\n" for row in rows)
+    matrix = FeatureMatrix(values, ("a", "b", "c"), labels)
+    for workers in (1, 2, 3, 0):
+        forks.clear()
+        path = tmp_path / f"w{workers}.csv"
+        write_feature_csv(matrix, path, workers)
+        assert path.read_bytes() == expected.encode(), workers
+        parts = worker_count(workers, n_rows // 4)
+        assert len(forks) == parts - 1
+        assert [lo for lo, _ in forks] == [n_rows * k // parts for k in range(1, parts)]
+        assert_no_child_left()
+    assert len(spools) == sum(worker_count(w, n_rows // 4) - 1 for w in (1, 2, 3, 0))
+    assert all(spool.closed for spool in spools)
+
+
+@pytest.mark.parametrize("how", ["raises", "killed"])
+def test_failed_formatter_process_names_file_and_leaves_nothing(tmp_path, monkeypatch, capfd,
+                                                                spools, how):
+    monkeypatch.setattr(matrix_module, "_WRITE_ROWS", 4)
+    parent = os.getpid()
+    write_rows = matrix_module._write_rows
+
+    def write_rows_failing_in_children(matrix, lo, hi, out):
+        if os.getpid() != parent:
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise OSError(28, "No space left on device")
+        write_rows(matrix, lo, hi, out)
+
+    monkeypatch.setattr(matrix_module, "_write_rows", write_rows_failing_in_children)
+    path = tmp_path / "m.csv"
+    detail = "exit status 1" if how == "raises" else "killed by signal 9"
+    with pytest.raises(ProdcoefError, match=f"process writing rows 4..7 of .* died .*{detail}"
+                       ) as failure:
+        write_feature_csv(FeatureMatrix(np.ones((12, 2)), ("a", "b")), path, workers=3)
+    assert str(path) in str(failure.value)
+    assert_no_child_left()
+    assert len(spools) == 2 and all(spool.closed for spool in spools)
+    if how == "raises":
+        assert "formatting rows 4..7: OSError" in capfd.readouterr().err
+
+
+def test_failed_write_in_parent_stops_and_reaps_children(tmp_path, monkeypatch, spools):
+    # The file cannot be opened after the children are forked: each is
+    # killed and reaped, and its temporary file closed.
+    monkeypatch.setattr(matrix_module, "_WRITE_ROWS", 4)
+    with pytest.raises(IsADirectoryError):
+        write_feature_csv(FeatureMatrix(np.ones((12, 2)), ("a", "b")), tmp_path, workers=3)
+    assert_no_child_left()
+    assert len(spools) == 2 and all(spool.closed for spool in spools)
 
 
 def test_csv_errors(tmp_path):
