@@ -13,10 +13,17 @@ threads for the blocks of centers of radius neighborhoods, threads for
 the pieces of the whole-cloud count at a radius of sqrt(3) or more,
 and forked formatter processes for contiguous row ranges of
 features.csv (each range of at least `matrix._WRITE_ROWS` rows); in
-`evaluate`, forked processes for the cross-validation folds (each
-worker process holds one fold's model at a time). Forking needs POSIX
-fork. 0 means one per CPU; the default 1 runs everything in this
+`evaluate`, forked worker processes that take the cross-validation
+fold jobs one at a time from a pipe, while this process only collects
+their results (each worker holds one fold's model at a time). Both
+kinds of process are made by `workers.ForkedChildren`, which needs
+POSIX fork. 0 means one per CPU; the default 1 runs everything in this
 thread.
+
+`python -m prodcoef` and the `prodcoef` console script run
+`console_entry`, which leaves by os._exit once logging is shut down and
+stdout and stderr are flushed, without the interpreter's teardown;
+`main` is the in-process API, which returns the exit code.
 
 Each command imports the stage modules it runs when it runs, so
 `--help` and argument errors load no numpy. `synth` loads the `synth`
@@ -41,14 +48,15 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .choices import F1_AVERAGES, NORMALIZE_MODES
-from .errors import FormatError, ProdcoefError, ValidationError
+from .errors import FormatError, ProdcoefError, ValidationError, output_file
 
 if TYPE_CHECKING:
     from .evaluation import PipelineSpec
@@ -93,8 +101,15 @@ def _digest_bytes(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write `text` to the file `path`; one that cannot be written is an
+    I/O error naming it."""
+    with output_file(path) as handle:
+        handle.write(text)
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_text(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict,
@@ -226,7 +241,7 @@ def cmd_pca(args) -> int:
     matrix = read_feature_csv(features_path)
     model = fit_pca(matrix, args.components)
     model_path = out / "pca_model.json"
-    model_path.write_text(pca_to_json(model) + "\n")
+    _write_text(model_path, pca_to_json(model) + "\n")
     projected = transform(model, matrix)
     z_path = out / "z.csv"
     write_feature_csv(projected, z_path)
@@ -282,7 +297,7 @@ def cmd_train(args) -> int:
     outputs = []
     if fitted.pca is not None:
         pca_path = out / "pca_model.json"
-        pca_path.write_text(pca_to_json(fitted.pca) + "\n")
+        _write_text(pca_path, pca_to_json(fitted.pca) + "\n")
         outputs.append(pca_path)
     if args.classifier == "knn":
         model_path = out / "knn_model.json"
@@ -297,7 +312,7 @@ def cmd_train(args) -> int:
         )
     else:
         model_path = out / "rf_model.json"
-        model_path.write_text(forest_to_json(fitted.model) + "\n")
+        _write_text(model_path, forest_to_json(fitted.model) + "\n")
     outputs.append(model_path)
 
     config = {"features": features_path.name, "classifier": args.classifier,
@@ -395,7 +410,7 @@ def _run_evaluate(args, out: Path, components: tuple[int, int] | None,
             outputs.append(out / f"{prefix}_{clf}.json")
     reports = cross_validate_many(runs, plan, f1_average=args.f1, workers=args.threads)
     for path, report in zip(outputs, reports):
-        path.write_text(report_to_json(report) + "\n")
+        _write_text(path, report_to_json(report) + "\n")
 
     outputs.extend(_write_tables(out, reports))
 
@@ -442,7 +457,7 @@ def _write_tables(out: Path, reports) -> list[Path]:
     paths = []
     for name, text in tables.items():
         paths.append(out / TABLE_FILES[name])
-        paths[-1].write_text(text)
+        _write_text(paths[-1], text)
     return paths
 
 
@@ -477,9 +492,9 @@ def _add_threads(parser: _Parser) -> None:
                         help="workers: threads for the radius neighborhoods' "
                              "blocks of centers and for the whole-cloud "
                              "count's pieces, forked formatter processes for "
-                             "features.csv's row ranges, forked processes for "
-                             "cross-validation folds; 0 = auto; never changes "
-                             "results")
+                             "features.csv's row ranges, forked worker "
+                             "processes that take cross-validation fold jobs "
+                             "one at a time; 0 = auto; never changes results")
 
 
 def _add_input(parser: _Parser) -> None:
@@ -594,5 +609,34 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
+def console_entry() -> NoReturn:
+    """Run `main` as the program: the `prodcoef` console script and
+    `python -m prodcoef`.
+
+    The SystemExit that argparse raises for --help gives its code. Then
+    logging is shut down, stdout and stderr are flushed, and the process
+    leaves by os._exit with main's code. That skips the interpreter's
+    teardown, which frees every module and object and writes nothing
+    (about 25 ms a job on a 2-vCPU machine). Where a stream cannot be
+    flushed, the normal exit runs instead and reports it as the
+    interpreter does. An uncaught exception is left to the interpreter
+    too: a traceback and exit 1.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        code = exc.code
+    logging.shutdown()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None where the descriptor was closed at start
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

@@ -8,11 +8,13 @@ only; held-out labels can never leak into fitting.
 
 `cross_validate_many` evaluates many (features, pipeline) runs at once.
 Each (run, fold) fit-and-predict is one independent job; with more than
-one worker the jobs run in order on processes made by POSIX fork, which
-inherit the data copy-on-write and send back only each fold's confusion
-matrix. Each worker holds one fold's model at a time. Every F1 and report
-is read from those matrices in job order, so reports are the same bytes
-for any worker count.
+one worker the jobs run on plain processes made by POSIX fork
+(`workers.ForkedChildren`), which take job numbers in order from one
+pipe, inherit the data copy-on-write and send back only each fold's
+confusion matrix, through a temporary file read once the worker has
+exited. Each worker holds one fold's model at a time. Every F1 and
+report is read from those matrices in job order, so reports are the
+same bytes for any worker count.
 `cross_validate` is its one-run, in-process case.
 
 `render_report` turns reports into the paper's tables: it maps each
@@ -28,6 +30,9 @@ import csv
 import gc
 import io
 import json
+import os
+import pickle
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +43,7 @@ from .forest import ForestConfig, RandomForestModel, rf_fit, rf_predict_labels
 from .knn import KnnModel, knn_predict_labels
 from .matrix import FeatureMatrix
 from .pca import PcaModel, fit_pca, transform
-from .workers import worker_count
+from .workers import ForkedChildren, worker_count
 
 
 def _check_label_pair(true_labels, predicted):
@@ -270,50 +275,108 @@ class _FoldJobs:
         return _confusion(classes, truth, predicted)
 
 
-# The jobs of the cross_validate_many call that forked this worker
-# process; set once in each worker, never in the parent.
-_worker_jobs: _FoldJobs | None = None
+# A job pipe record: one job range's number, as 4 little-endian bytes.
+_RECORD_BYTES = 4
 
 
-def _set_worker_jobs(jobs: _FoldJobs) -> None:
-    global _worker_jobs
-    _worker_jobs = jobs
+def _pipe_capacity(fd: int) -> int:
+    """Bytes the empty pipe `fd` takes without a write blocking: its size
+    where the system tells it (Linux), else POSIX's PIPE_BUF."""
+    import fcntl  # POSIX only, as fork is
+    import select
+
+    if hasattr(fcntl, "F_GETPIPE_SZ"):
+        return fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
+    return select.PIPE_BUF
 
 
-def _run_worker_job(job: int) -> np.ndarray:
-    return _worker_jobs(job)
+class _WorkerTraceback(Exception):
+    """The traceback, as text, of a job's exception in a forked worker;
+    the cause of that exception where this process raises it."""
+
+
+def _run_ranges(jobs: _FoldJobs, job_pipe: int, span: int, spool) -> None:
+    """Run the jobs of each range read from `job_pipe`, range k being
+    jobs k * span up to (k + 1) * span, in order until the pipe is empty
+    or a job raises; then pickle (done, failure) into `spool`: done the
+    (job, confusion matrix) of each job that returned, failure None or
+    the first failing (job, exception, traceback text)."""
+    done, failure = [], None
+    while failure is None and (record := os.read(job_pipe, _RECORD_BYTES)):
+        start = int.from_bytes(record, "little") * span
+        for job in range(start, min(start + span, len(jobs))):
+            try:
+                done.append((job, jobs(job)))
+            except Exception as exc:
+                failure = (job, _picklable(exc), traceback.format_exc())
+                break
+    pickle.dump((done, failure), spool, pickle.HIGHEST_PROTOCOL)
+
+
+def _picklable(exc: Exception) -> Exception:
+    """`exc`, or where it does not survive a pickle round trip, a
+    ProdcoefError naming its type and text."""
+    try:
+        pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        return ProdcoefError(f"a cross-validation job raised {type(exc).__name__}: {exc} "
+                             "(an exception that cannot be pickled)")
+    return exc
 
 
 def _run_forked(jobs: _FoldJobs, workers: int) -> list[np.ndarray]:
     """The confusion matrix of every job, in job order, with the jobs
-    run on `workers` forked processes.
+    run on `workers` processes made by POSIX fork; this process runs
+    none.
 
-    Forked workers inherit the runs' matrices and pipelines
-    copy-on-write, so only job numbers and confusion matrices cross
-    between processes. Jobs go out in job-order chunks, at least four
-    per worker, which balances the load and, for small jobs, costs a
-    fraction of one IPC round trip per job. map yields in job order, so
-    the first failing job's exception is the one raised.
+    Before the first fork, every job range goes into one pipe as a
+    fixed-size record: one job per range, or, where the pipe cannot
+    hold a record per job, as many equal contiguous ranges as it holds.
+    So no write blocks and each read takes one whole record. Each worker
+    runs the ranges it reads (`_run_ranges`) into its own temporary
+    file, which is read here once the worker has exited. Workers inherit
+    the runs' matrices and pipelines copy-on-write, so only job numbers
+    and results cross between processes, and the last worker ends at
+    most one range after the others. A worker stops at its first
+    failing job, and only after every job before it in job order has
+    been read; so that job's exception is the one raised, as in one
+    process, with the worker's traceback as its cause. A worker that
+    dies is a ProdcoefError as soon as it has died, whatever the other
+    workers are running.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    chunksize = max(1, len(jobs) // (4 * workers))
-    # Frozen objects are left out of garbage collection, so the workers'
-    # collections do not touch, and so copy, the pages of every object
-    # they inherit.
-    gc.freeze()
+    job_pipe, write_end = os.pipe()
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_set_worker_jobs, initargs=(jobs,)) as pool:
-            return list(pool.map(_run_worker_job, range(len(jobs)), chunksize=chunksize))
-    except BrokenProcessPool:
-        raise ProdcoefError(
-            "a cross-validation worker process died (killed, perhaps out of memory)"
-        ) from None
+        try:
+            span = -(-len(jobs) // (_pipe_capacity(write_end) // _RECORD_BYTES))
+            ranges = -(-len(jobs) // span)
+            os.write(write_end, b"".join(k.to_bytes(_RECORD_BYTES, "little")
+                                         for k in range(ranges)))
+        finally:
+            os.close(write_end)
+        # Frozen objects are left out of garbage collection, so the
+        # workers' collections do not touch, and so copy, the pages of
+        # every object they inherit.
+        gc.freeze()
+        with ForkedChildren() as children:
+            for _ in range(workers):
+                children.fork(lambda spool: _run_ranges(jobs, job_pipe, span, spool),
+                              "running cross-validation jobs")
+            confusions = [None] * len(jobs)
+            failures = []
+            for _ in range(workers):
+                done, failure = pickle.load(
+                    children.wait_any("a cross-validation worker process"))
+                for job, confusion in done:
+                    confusions[job] = confusion
+                if failure is not None:
+                    failures.append(failure)
     finally:
+        os.close(job_pipe)
         gc.unfreeze()
+    if failures:
+        _, exc, text = min(failures)  # the first failing job; no two share a job number
+        raise exc from _WorkerTraceback(text)
+    return confusions
 
 
 def cross_validate_many(runs, plan: CrossValPlan, f1_average: str = "macro",
@@ -326,12 +389,14 @@ def cross_validate_many(runs, plan: CrossValPlan, f1_average: str = "macro",
     happens inside each fold, on training rows only. Every (run, fold)
     fit-and-predict is an independent job. With `workers` 1 they run
     in order in this process. With more (0 = one per CPU, never more
-    than there are jobs) they run on forked worker processes, which
-    needs POSIX fork and a caller with no other threads running; each
-    worker holds one fold's model at a time. Each job's confusion
-    matrix gives its fold's F1, and a run's summed matrices its
-    report's confusion, in job order, so the reports never depend on
-    `workers`, and neither does which error a failing call raises.
+    than there are jobs) they run on forked worker processes
+    (`_run_forked`), which needs POSIX fork and a caller with no other
+    threads running; each worker holds one fold's model at a time. Each
+    job's confusion matrix gives its fold's F1, and a run's summed
+    matrices its report's confusion, in job order, so the reports never
+    depend on `workers`, and neither does which job's error a failing
+    call raises (from a worker, an exception that cannot be pickled
+    comes back as a ProdcoefError naming it).
     """
     _check_average(f1_average)
     for features, _, _ in runs:

@@ -4,18 +4,15 @@ holds the one table rule for points and features."""
 from __future__ import annotations
 
 import csv
-import os
 import shutil
-import signal
-import tempfile
 import warnings
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ProdcoefError, ValidationError
-from .workers import worker_count
+from .errors import FormatError, ValidationError, output_file
+from .workers import ForkedChildren, worker_count
 
 LABEL_COLUMN = "label"
 
@@ -112,25 +109,10 @@ def _write_rows(matrix: FeatureMatrix, lo: int, hi: int, out) -> None:
         out.write("".join([",".join(map(repr, row)) + "\n" for row in rows]).encode("ascii"))
 
 
-def _fork_part(matrix: FeatureMatrix, lo: int, hi: int, spool) -> int:
-    """Fork a child that writes rows lo..hi-1 into the binary file
-    `spool` and exits 0; returns its pid. The child leaves only by
-    os._exit, so it never flushes this process's buffers or runs its
-    exit handlers; on an error it writes one line to stderr and exits 1."""
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            _write_rows(matrix, lo, hi, spool)
-            spool.flush()
-            status = 0
-        except BaseException as exc:
-            os.write(2, f"error: formatting rows {lo}..{hi - 1}: "
-                        f"{type(exc).__name__}: {exc}\n".encode(errors="replace"))
-            raise  # no further than the os._exit below
-        finally:
-            os._exit(status)
-    return pid
+def _fork_part(matrix: FeatureMatrix, lo: int, hi: int, children: ForkedChildren) -> None:
+    """Fork a child of `children` that writes rows lo..hi-1 of `matrix` into its file."""
+    children.fork(lambda spool: _write_rows(matrix, lo, hi, spool),
+                  f"formatting rows {lo}..{hi - 1}")
 
 
 def write_feature_csv(matrix: FeatureMatrix, path, workers: int = 1) -> None:
@@ -139,13 +121,14 @@ def write_feature_csv(matrix: FeatureMatrix, path, workers: int = 1) -> None:
     The rows are split into worker_count(workers, n_rows // _WRITE_ROWS)
     contiguous parts, so a part has at least _WRITE_ROWS rows. Before
     the file is opened, each part after the first gets a child made by
-    POSIX fork, which formats it into its own unlinked temporary file.
-    This process writes the header and the first part, then copies in
-    each child's file in row order. So the file has the same bytes for
-    any `workers`; with `workers` 1, or under 2 * _WRITE_ROWS rows, no
-    child is made. Forking needs POSIX fork and a caller with no other
-    threads running. A child that fails or is killed is a ProdcoefError
-    naming the file, and no child outlives the call.
+    POSIX fork (`workers.ForkedChildren`), which formats it into its own
+    unlinked temporary file. This process writes the header and the
+    first part, then copies in each child's file in row order. So the
+    file has the same bytes for any `workers`; with `workers` 1, or
+    under 2 * _WRITE_ROWS rows, no child is made. Forking needs POSIX
+    fork and a caller with no other threads running. A file that cannot
+    be written is a FormatError, and a child that fails or is killed a
+    ProdcoefError, each naming the file; no child outlives the call.
     """
     names = list(matrix.column_names)
     if matrix.labels is not None:
@@ -153,31 +136,17 @@ def write_feature_csv(matrix: FeatureMatrix, path, workers: int = 1) -> None:
     parts = worker_count(workers, matrix.n_rows // _WRITE_ROWS)
     bounds = [matrix.n_rows * k // parts for k in range(parts + 1)]
     forked = list(zip(bounds[1:-1], bounds[2:]))  # the ranges after the first
-    spools, running = [], []  # the children's files, and their pids until reaped
-    try:
+    with ForkedChildren() as children:
         for lo, hi in forked:
-            spools.append(tempfile.TemporaryFile())
-            running.append(_fork_part(matrix, lo, hi, spools[-1]))
-        with open(path, "w", newline="\n") as handle:
+            _fork_part(matrix, lo, hi, children)
+        with output_file(path) as handle:
             handle.write(",".join(names) + "\n")
             handle.flush()  # the rows go to the byte stream under the text layer
             _write_rows(matrix, bounds[0], bounds[1], handle.buffer)
-            for (lo, hi), spool in zip(forked, spools):
-                code = os.waitstatus_to_exitcode(os.waitpid(running[0], 0)[1])
-                del running[0]
-                if code:
-                    detail = (f"killed by signal {-code}, perhaps out of memory" if code < 0
-                              else f"exit status {code}")
-                    raise ProdcoefError(f"a formatter process writing rows {lo}..{hi - 1} "
-                                        f"of {path} died ({detail})")
-                spool.seek(0)
+            for lo, hi in forked:
+                spool = children.wait(f"a formatter process writing rows {lo}..{hi - 1} "
+                                      f"of {path}")
                 shutil.copyfileobj(spool, handle.buffer)
-    finally:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for spool in spools:
-            spool.close()
 
 
 def _parse_label(cell: str, path, row_num: int) -> int:

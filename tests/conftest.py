@@ -1,6 +1,6 @@
-"""Shared fixtures: a minimal LAS writer for reader tests, and the
-paper's per-point feature definition as the oracle for the batched
-feature kernel.
+"""Shared fixtures: a minimal LAS writer for reader tests, the paper's
+per-point feature definition as the oracle for the batched feature
+kernel, and checks that forked workers leave nothing behind.
 
 The LAS writer only fabricates test inputs; the package itself never
 writes LAS.
@@ -8,7 +8,9 @@ writes LAS.
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -23,6 +25,25 @@ def dyadic_coefficients(neighbors, center):
     right = np.asarray(neighbors).reshape(-1, 3) > np.asarray(center).reshape(3)
     counts = np.bincount(right[:, 0] * 4 + right[:, 1] * 2 + right[:, 2], minlength=8)
     return coefficients_from_measure(DyadicTree.from_leaf_masses(counts)).level_order
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def spools(monkeypatch):
+    """The temporary files that forked workers write into, as made."""
+    made = []
+    temporary_file = tempfile.TemporaryFile
+
+    def recording(*args, **kwargs):
+        made.append(temporary_file(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+    return made
 
 
 FORMAT_MIN_LEN = {0: 20, 1: 28, 2: 26, 3: 34, 4: 57, 5: 63, 6: 30, 7: 36, 8: 38}

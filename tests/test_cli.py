@@ -152,6 +152,76 @@ def test_corrupt_las_gives_consistency_exit(tmp_path):
     assert main(["ingest", "--input", str(bad), "--out-dir", str(tmp_path)]) == 3
 
 
+def _program(args, **streams):
+    """`python -m prodcoef ARGS...` run to its end in a fresh interpreter,
+    with 80-column help; stdout and stderr are captured unless given."""
+    env = dict(os.environ, PYTHONPATH=str(Path(prodcoef.__file__).parents[1]), COLUMNS="80")
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run([sys.executable, "-m", "prodcoef", *args], env=env, text=True,
+                          timeout=60, **streams)
+
+
+def test_program_exit_codes_and_complete_outputs(tmp_path, monkeypatch):
+    # `python -m prodcoef` leaves by os._exit, after flushing its streams
+    # and closing its files; its codes and outputs are cli.main's.
+    monkeypatch.setenv("COLUMNS", "80")
+    done = _program(["--help"])
+    assert (done.returncode, done.stdout, done.stderr) == (0, build_parser().format_help(), "")
+    done = _program(["bogus"])
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: argument command: invalid choice: 'bogus'")
+    missing = tmp_path / "nope.csv"
+    done = _program(["features", "--input", str(missing), "--out-dir", str(tmp_path / "o")])
+    assert (done.returncode, done.stderr) == (
+        2, f"error: cannot open {missing}: [Errno 2] No such file or directory: '{missing}'\n")
+    bad = tmp_path / "bad.las"
+    bad.write_bytes(build_las(raw_xyz=[(i, i, i) for i in range(5)], declared_count=9))
+    done = _program(["ingest", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
+    assert done.returncode == 3 and done.stderr.startswith("error: ")
+    # A job's files and its log line are complete: the bytes cli.main writes.
+    argv = ["synth", "--points-per-class", "50", "--out-dir"]
+    done = _program([*argv, str(tmp_path / "program")])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "", f"INFO synth: 200 points -> {tmp_path / 'program' / 'scene.csv'}\n")
+    assert main([*argv, str(tmp_path / "main")]) == 0
+    _same_files(tmp_path / "program", tmp_path / "main")
+
+
+@pytest.mark.parametrize("stdout", ["closed", "broken pipe"])
+def test_help_into_a_closed_stdout_still_exits_0(monkeypatch, stdout):
+    # With descriptor 1 closed, sys.stdout is None and argparse writes the
+    # help to stderr. Into a pipe that nobody reads the write fails, and
+    # argparse drops the text without an error.
+    monkeypatch.setenv("COLUMNS", "80")
+    if stdout == "closed":
+        done = _program(["--help"], stdout=None, preexec_fn=lambda: os.close(1))
+        assert (done.returncode, done.stderr) == (0, build_parser().format_help())
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = _program(["--help"], stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("command, blocked", [("features", "features.csv"),
+                                              ("evaluate", "report_t1_xyz_knn.json")])
+def test_unwritable_output_file_gives_io_exit(tmp_path, scene_csv, capsys, command, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    if command == "features":
+        argv = ["features", "--input", str(scene_csv), "--has-label", "--radius", "0.3"]
+    else:
+        argv = ["evaluate", "--features", str(_features(tmp_path, scene_csv)), "--table", "1",
+                "--folds", "3", "--trees", "2"]
+    capsys.readouterr()
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {out / blocked}: IsADirectoryError: [Errno 21] Is a directory")
+
+
 def test_ingest_las_manifest_summary(tmp_path):
     las = tmp_path / "tile.las"
     las.write_bytes(build_las(
@@ -364,13 +434,15 @@ def test_run_threads_auto_equals_one(tmp_path, scene_csv):
     _same_files(tmp_path / "t1", tmp_path / "t0")
 
 
-# Runs the Python statements in its first argument, then `python -m
-# prodcoef ARGV...` with the rest, and prints the loaded modules last.
+# Runs the Python statements in its first argument, then the command
+# line ARGV... in the rest through cli.main, the in-process part of
+# `python -m prodcoef`, and prints the loaded modules last.
 _RUN_AND_LIST_MODULES = (
-    "import json, runpy, sys\n"
+    "import json, sys\n"
     "exec(sys.argv.pop(1))\n"
+    "from prodcoef.cli import main\n"
     "try:\n"
-    "    runpy.run_module('prodcoef', run_name='__main__', alter_sys=True)\n"
+    "    code = main(sys.argv[1:])\n"
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
     "print(json.dumps(sorted(sys.modules)))\n"
@@ -394,13 +466,16 @@ _NOT_FEATURES = ("scipy.spatial", "prodcoef.evaluation", "prodcoef.forest", "pro
                  id="features-radius"),
     # Folds of a few hundred training rows take KNN's direct filter,
     # which needs no kd-tree, before and after a fork.
+    # Fold workers and formatters are plain forked processes.
     pytest.param(["evaluate", "--features", "{features}", "--table", "1", "--folds", "3",
                   "--trees", "2", "--out-dir", "{out}"],
-                 ("scipy.spatial", "prodcoef.las", "prodcoef.synth", "prodcoef.dyadic"),
+                 ("scipy.spatial", "prodcoef.las", "prodcoef.synth", "prodcoef.dyadic",
+                  *_PROCESS_POOL),
                  id="evaluate"),
     pytest.param(["run", "--input", "{scene}", "--has-label", "--radius", "0.3", "--table", "1",
                   "--folds", "3", "--trees", "2", "--threads", "2", "--out-dir", "{out}"],
-                 ("scipy.spatial", "prodcoef.las", "prodcoef.synth", "prodcoef.dyadic"),
+                 ("scipy.spatial", "prodcoef.las", "prodcoef.synth", "prodcoef.dyadic",
+                  *_PROCESS_POOL),
                  id="run-threads"),
 ])
 def test_command_leaves_modules_unloaded(tmp_path, scene_csv, argv, unloaded):
@@ -417,8 +492,9 @@ def test_command_leaves_modules_unloaded(tmp_path, scene_csv, argv, unloaded):
 
 
 def _loaded_modules(argv, preamble=""):
-    """The modules loaded once `python -m prodcoef ARGV...` has run in a
-    fresh interpreter, after the statements in `preamble`."""
+    """The modules loaded once the command line ARGV... has run through
+    cli.main in a fresh interpreter, after the statements in
+    `preamble`."""
     env = dict(os.environ, PYTHONPATH=str(Path(prodcoef.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES, preamble, *argv],
                           env=env, check=True, capture_output=True, text=True, timeout=60)

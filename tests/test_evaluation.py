@@ -1,5 +1,8 @@
 import csv
 import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +30,8 @@ from prodcoef.evaluation import (
 from prodcoef.forest import forest_to_json
 from prodcoef.matrix import FeatureMatrix
 from prodcoef.pca import fit_pca, pca_to_json, transform
+
+from conftest import assert_no_child_left
 
 
 def _reference_f1(true_labels, predicted, average):
@@ -295,16 +300,18 @@ class _PcaCentroids:
 
 
 class _FailsWithout:
-    """Raises in fit when any of `rows` is held out; column 0 holds row ids."""
+    """Raises error(text) in fit when any of `rows` is held out; column 0
+    holds row ids."""
 
-    def __init__(self, name, rows):
+    def __init__(self, name, rows, error=ValidationError):
         self.name = name
         self.rows = rows
+        self.error = error
 
     def fit(self, train):
         missing = [r for r in self.rows if r not in train.values[:, 0]]
         if missing:
-            raise ValidationError(f"{self.name} without row {missing[0]}")
+            raise self.error(f"{self.name} without row {missing[0]}")
         return _PerfectOracle()
 
 
@@ -318,6 +325,51 @@ class _DiesInWorker:
         if os.getpid() != self.parent:
             os._exit(3)
         raise AssertionError("fit ran in the test process")
+
+
+class _KilledInWorker:
+    """SIGKILLs the process that fits it, unless that is the test process."""
+
+    def __init__(self):
+        self.parent = os.getpid()
+
+    def fit(self, train):
+        if os.getpid() != self.parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise AssertionError("fit ran in the test process")
+
+
+class _Unpicklable(Exception):
+    """Holds a lock, which pickle refuses."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.lock = threading.Lock()
+
+
+class _Unrebuildable(Exception):
+    """Pickles, but its pickle calls __init__ with one argument of two."""
+
+    def __init__(self, text, detail):
+        super().__init__(text)
+        self.detail = detail
+
+
+class _JobAndPid:
+    """`n` trivial fold jobs: job j returns (j, id of the process that ran it)."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __call__(self, job):
+        return job, os.getpid()
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
 
 
 class TestCrossValidateMany:
@@ -392,6 +444,116 @@ class TestCrossValidateMany:
             cross_validate_many([(features, _DiesInWorker(), None)],
                                 CrossValPlan(folds=3), workers=2)
         assert info.value.exit_code == 1
+
+    @pytest.mark.parametrize("outcome", ["returns", "raises", "killed"])
+    def test_no_child_pipe_or_file_outlives_the_call(self, spools, outcome):
+        features = self._features()
+        pipeline = {"returns": _PerfectOracle(),
+                    "raises": _FailsWithout("run", (0,)),
+                    "killed": _KilledInWorker()}[outcome]
+        fds = _open_fds()
+        if outcome == "returns":
+            cross_validate_many([(features, pipeline, None)], CrossValPlan(folds=3), workers=2)
+        else:
+            error = ValidationError if outcome == "raises" else ProdcoefError
+            with pytest.raises(error):
+                cross_validate_many([(features, pipeline, None)], CrossValPlan(folds=3),
+                                    workers=2)
+        assert_no_child_left()
+        assert _open_fds() == fds
+        assert len(spools) == 2 and all(spool.closed for spool in spools)
+
+    def test_more_jobs_than_the_pipe_holds_records(self):
+        # 20,000 4-byte records do not fit a 64 KiB pipe, so records name
+        # ranges of two jobs; all of them are written before the first
+        # fork, which a blocked write would never reach (SIGALRM ends it).
+        def timed_out(signum, frame):
+            raise TimeoutError("the forked run took over 60 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(60)
+        try:
+            results = _run_forked(_JobAndPid(20_000), 2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [job for job, _ in results] == list(range(20_000))
+        pids = [pid for _, pid in results]
+        assert os.getpid() not in pids
+        assert all(pids[j] == pids[j + 1] for j in range(0, 20_000, 2))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("capacity, span", [(16, 3), (40, 1), (4, 10)])
+    def test_records_name_contiguous_ranges_beyond_the_pipe_size(self, monkeypatch,
+                                                                 capacity, span):
+        # 10 jobs: a 16-byte pipe holds 4 records, so ranges of 3 jobs
+        # (the last of 1); 40 bytes hold a record per job; 4 bytes, one
+        # range of every job.
+        monkeypatch.setattr(evaluation, "_pipe_capacity", lambda fd: capacity)
+        results = _run_forked(_JobAndPid(10), 3)
+        assert [job for job, _ in results] == list(range(10))
+        pids = [pid for _, pid in results]
+        assert os.getpid() not in pids
+        for start in range(0, 10, span):
+            assert len(set(pids[start:start + span])) == 1, (start, pids)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [_Unpicklable, _Unrebuildable])
+    def test_unpicklable_exception_still_fails_the_call(self, error):
+        features = self._features()
+        plan = CrossValPlan(folds=5, seed=4)
+        fold = fold_assignment(features.labels, plan)
+        early, late = (int(np.flatnonzero(fold == f)[0]) for f in (1, 3))
+
+        def raising(text):
+            return error(text) if error is _Unpicklable else error(text, "detail")
+
+        # Alone, it is a ProdcoefError naming its type and text.
+        runs = [(features, _PerfectOracle(), None),
+                (features, _FailsWithout("run", (late,), raising), None)]
+        with pytest.raises(ProdcoefError, match=f"{error.__name__}: run without row {late} "
+                                                r"\(an exception that cannot be pickled\)"):
+            cross_validate_many(runs, plan, workers=2)
+        # The first failing job in run-fold order still wins, either way.
+        for first, second in (((raising, early), (ValidationError, late)),
+                              ((ValidationError, early), (raising, late))):
+            runs = [(features, _PerfectOracle(), None),
+                    (features, _FailsWithout("run 1", (first[1],), first[0]), None),
+                    (features, _FailsWithout("run 2", (second[1],), second[0]), None)]
+            with pytest.raises(ProdcoefError, match=f"run 1 without row {early}") as info:
+                cross_validate_many(runs, plan, workers=3)
+            assert type(info.value) is (ValidationError if first[0] is ValidationError
+                                        else ProdcoefError)
+        assert_no_child_left()
+
+    def test_dead_worker_fails_the_call_while_others_still_run(self):
+        # Job 0 holds one worker for 60 s; the other takes job 1 and is
+        # killed. The call fails then, not once job 0 is done, and the
+        # busy worker is killed and reaped.
+        class Jobs:
+            def __len__(self):
+                return 4
+
+            def __call__(self, job):
+                if job == 1:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                time.sleep(60 if job == 0 else 0)
+                return job
+
+        started = time.perf_counter()
+        with pytest.raises(ProdcoefError, match=r"worker process died \(killed by signal 9"):
+            _run_forked(Jobs(), 2)
+        assert time.perf_counter() - started < 30
+        assert_no_child_left()
+
+    def test_worker_exception_has_its_traceback_as_cause(self):
+        features = self._features()
+        with pytest.raises(ValidationError, match="^run without row 0$") as info:
+            cross_validate_many([(features, _FailsWithout("run", (0,)), None)],
+                                CrossValPlan(folds=3), workers=2)
+        cause = info.value.__cause__
+        assert type(cause).__name__ == "_WorkerTraceback"
+        assert "in fit\n" in str(cause) and "ValidationError: run without row 0" in str(cause)
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValidationError, match="threads must be >= 0"):

@@ -1,7 +1,7 @@
 import builtins
 import os
+import re
 import signal
-import tempfile
 import warnings
 
 import numpy as np
@@ -14,6 +14,8 @@ from prodcoef.errors import FormatError, ProdcoefError, ValidationError
 from prodcoef.matrix import FeatureMatrix, read_feature_csv, write_feature_csv
 from prodcoef.pointcloud import read_csv
 from prodcoef.workers import worker_count
+
+from conftest import assert_no_child_left
 
 
 def test_basic_shape_and_names():
@@ -100,25 +102,6 @@ def test_write_csv_extreme_values_exact_text(tmp_path, monkeypatch, batch):
     )
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def spools(monkeypatch):
-    """The temporary files that write_feature_csv makes, as made."""
-    made = []
-    temporary_file = tempfile.TemporaryFile
-
-    def recording(*args, **kwargs):
-        made.append(temporary_file(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
-    return made
-
-
 @pytest.mark.parametrize("n_rows", [7, 8, 11, 13, 15, 26])
 @pytest.mark.parametrize("labelled", [True, False], ids=["labels", "no labels"])
 def test_forked_write_has_the_same_bytes_for_any_workers(tmp_path, monkeypatch, spools,
@@ -187,10 +170,11 @@ def test_failed_formatter_process_names_file_and_leaves_nothing(tmp_path, monkey
 
 
 def test_failed_write_in_parent_stops_and_reaps_children(tmp_path, monkeypatch, spools):
-    # The file cannot be opened after the children are forked: each is
-    # killed and reaped, and its temporary file closed.
+    # The file cannot be opened after the children are forked: that is an
+    # I/O error naming the file, and each child is killed and reaped, and
+    # its temporary file closed.
     monkeypatch.setattr(matrix_module, "_WRITE_ROWS", 4)
-    with pytest.raises(IsADirectoryError):
+    with pytest.raises(FormatError, match=f"^cannot write {re.escape(str(tmp_path))}: IsADirectoryError"):
         write_feature_csv(FeatureMatrix(np.ones((12, 2)), ("a", "b")), tmp_path, workers=3)
     assert_no_child_left()
     assert len(spools) == 2 and all(spool.closed for spool in spools)
