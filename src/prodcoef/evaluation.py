@@ -300,7 +300,11 @@ def _run_ranges(jobs: _FoldJobs, job_pipe: int, span: int, spool) -> None:
     jobs k * span up to (k + 1) * span, in order until the pipe is empty
     or a job raises; then pickle (done, failure) into `spool`: done the
     (job, confusion matrix) of each job that returned, failure None or
-    the first failing (job, exception, traceback text)."""
+    the first failing (job, exception, traceback text).
+
+    A failing job empties the pipe first, so the other workers take no
+    new range. Records leave the pipe in order, so those left name only
+    later jobs, whose errors could not win."""
     done, failure = [], None
     while failure is None and (record := os.read(job_pipe, _RECORD_BYTES)):
         start = int.from_bytes(record, "little") * span
@@ -309,6 +313,8 @@ def _run_ranges(jobs: _FoldJobs, job_pipe: int, span: int, spool) -> None:
                 done.append((job, jobs(job)))
             except Exception as exc:
                 failure = (job, _picklable(exc), traceback.format_exc())
+                while os.read(job_pipe, _RECORD_BYTES):
+                    pass
                 break
     pickle.dump((done, failure), spool, pickle.HIGHEST_PROTOCOL)
 
@@ -340,9 +346,10 @@ def _run_forked(jobs: _FoldJobs, workers: int) -> list[np.ndarray]:
     most one range after the others. A worker stops at its first
     failing job, and only after every job before it in job order has
     been read; so that job's exception is the one raised, as in one
-    process, with the worker's traceback as its cause. A worker that
-    dies is a ProdcoefError as soon as it has died, whatever the other
-    workers are running.
+    process, with the worker's traceback as its cause. It empties the
+    pipe as it stops, so the call fails once the running ranges end. A
+    worker that dies is a ProdcoefError as soon as it has died, whatever
+    the other workers are running.
     """
     job_pipe, write_end = os.pipe()
     try:

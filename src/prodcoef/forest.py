@@ -10,9 +10,9 @@ byte-identical serialized forests.
 
 Per split, ceil(sqrt(n_features)) candidate features are sampled
 without replacement; thresholds are the midpoints between consecutive
-distinct sorted values; a node becomes a leaf when it is pure, smaller
-than min_samples_split, at the depth cap, or no split has strictly
-positive Gini gain.
+distinct sorted values; a node becomes a leaf when it is pure, at the
+depth cap, or no split has strictly positive Gini gain. (A node of one
+row is pure, so no size rule is needed.)
 
 The builder presorts the columns once per forest (a stable argsort, so
 ties keep row order, as in SLIQ). Each tree keeps the distinct rows of
@@ -63,27 +63,19 @@ A fitted tree is five arrays, one row per node in preorder: feature,
 threshold, left and right child, and an (n_nodes, n_classes) table of
 class counts that is zero except at leaves. The builder writes them in
 place, sized by the bound 2 * distinct rows - 1, and trims them once
-the tree is done; forest_from_json fills the same arrays. Loading
-checks what the builder guarantees, or raises FormatError naming the
-tree and node: n_features (at least 1) and the config fields are JSON
-integers (max_depth may be null), classes are strictly ascending int64
-codes, the tree count matches the config, children come after their
-parent (so routing always ends), every node but the root has exactly
-one parent (so every node is reachable), features exist, thresholds
-are finite, and every leaf has at least one count, each an int64 over
-a listed class that it names once.
+the tree is done. `forest_to_json` writes them out for inspection; no
+command reads a forest back.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
 from .matrix import FeatureMatrix
 from .summation import numpy_sum
 
@@ -92,7 +84,6 @@ from .summation import numpy_sum
 class ForestConfig:
     n_trees: int = 100
     max_depth: int | None = None
-    min_samples_split: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -100,10 +91,6 @@ class ForestConfig:
             raise ValidationError(f"need at least one tree, got {self.n_trees}")
         if self.max_depth is not None and self.max_depth < 0:
             raise ValidationError(f"max_depth must be >= 0, got {self.max_depth}")
-        if self.min_samples_split < 2:
-            raise ValidationError(
-                f"min_samples_split must be >= 2, got {self.min_samples_split}"
-            )
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit an unsigned 64-bit integer")
 
@@ -359,7 +346,7 @@ def _build_tree(columns: np.ndarray, order: np.ndarray, wide: bool, y: np.ndarra
         if config.max_depth is not None and depth >= config.max_depth:
             return False
         *counts, size = totals.tolist()
-        return size >= config.min_samples_split and max(counts) < size
+        return max(counts) < size
 
     totals = table.sum(axis=0)
     root = order[(weight > 0)[order]].reshape(n_features, -1)
@@ -494,113 +481,10 @@ def forest_to_json(model: RandomForestModel) -> str:
         "config": {
             "n_trees": model.config.n_trees,
             "max_depth": model.config.max_depth,
-            "min_samples_split": model.config.min_samples_split,
+            # Any impure node splits, and it holds at least 2 rows.
+            "min_samples_split": 2,
             "seed": model.config.seed,
         },
         "trees": trees_payload,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-_INT64 = np.iinfo(np.int64)
-
-
-def _json_int(record: dict, key: str) -> int:
-    """record[key], which must be a JSON integer (not a bool or float)."""
-    value = record[key]
-    if type(value) is not int:
-        raise FormatError(f"forest {key} {value!r} is not an integer")
-    return value
-
-
-def forest_from_json(text: str) -> RandomForestModel:
-    """Inverse of forest_to_json, checked on load (see the module
-    docstring). A payload that is not a forest raises FormatError,
-    naming the tree and node where one is at fault."""
-    try:
-        payload = json.loads(text)
-        codes = list(payload["classes"])
-        n_features = _json_int(payload, "n_features")
-        cfg = payload["config"]
-        config = ForestConfig(
-            n_trees=_json_int(cfg, "n_trees"),
-            max_depth=None if cfg["max_depth"] is None else _json_int(cfg, "max_depth"),
-            min_samples_split=_json_int(cfg, "min_samples_split"),
-            seed=_json_int(cfg, "seed"),
-        )
-        trees_payload = list(payload["trees"])
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
-        raise FormatError(f"not a forest payload: {type(exc).__name__}: {exc}") from None
-    if n_features < 1:
-        raise FormatError(f"forest n_features {n_features} is below 1")
-    if not (
-        codes
-        and all(type(c) is int and _INT64.min <= c <= _INT64.max for c in codes)
-        and all(a < b for a, b in zip(codes, codes[1:]))
-    ):
-        raise FormatError(f"forest classes {codes} are not strictly ascending int64 codes")
-    if len(trees_payload) != config.n_trees:
-        raise FormatError(
-            f"forest has {len(trees_payload)} trees, its config says {config.n_trees}"
-        )
-    class_pos = {c: i for i, c in enumerate(codes)}
-    trees = []
-    for t, nodes in enumerate(trees_payload):
-        if not (isinstance(nodes, list) and nodes):
-            raise FormatError(f"forest tree {t} has no nodes")
-        tree = _Tree.blank(len(nodes), len(codes))
-        for i, spec in enumerate(nodes):
-            where = f"forest tree {t} node {i}"
-            try:
-                if "leaf_counts" in spec:
-                    listed = set()
-                    for code, count in spec["leaf_counts"].items():
-                        pos = class_pos.get(int(code))
-                        if pos is None:
-                            raise FormatError(f"{where}: leaf class {code} is not in classes")
-                        if pos in listed:
-                            raise FormatError(f"{where}: leaf class {code} is listed twice")
-                        if not (type(count) is int and 0 <= count <= _INT64.max):
-                            raise FormatError(f"{where}: leaf count {count!r} is not a count")
-                        listed.add(pos)
-                        tree.counts[i, pos] = count
-                    if not tree.counts[i].any():
-                        raise FormatError(f"{where}: leaf has no counts")
-                    continue
-                feature, left, right = spec["feature"], spec["left"], spec["right"]
-                threshold = spec["threshold"]
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(
-                    f"{where}: malformed node: {type(exc).__name__}: {exc}"
-                ) from None
-            if not (type(feature) is int and 0 <= feature < n_features):
-                raise FormatError(
-                    f"{where}: feature {feature} outside [0, {n_features})"
-                )
-            if not all(type(c) is int and i < c < len(nodes) for c in (left, right)):
-                raise FormatError(
-                    f"{where}: children {left}, {right} must lie in ({i}, {len(nodes)})"
-                )
-            if type(threshold) not in (int, float):
-                raise FormatError(f"{where}: threshold {threshold!r} is not a number")
-            # Compares ints exactly, and is False for NaN.
-            if not abs(threshold) <= sys.float_info.max:
-                raise FormatError(f"{where}: threshold {threshold!r} is not finite")
-            tree.feature[i] = feature
-            tree.threshold[i] = threshold
-            tree.left[i] = left
-            tree.right[i] = right
-        split = tree.feature >= 0
-        parents = np.bincount(np.concatenate([tree.left[split], tree.right[split]]),
-                              minlength=len(nodes))
-        wrong = np.flatnonzero(parents[1:] != 1)
-        if len(wrong):
-            i = int(wrong[0]) + 1
-            raise FormatError(f"forest tree {t} node {i}: {parents[i]} parents, needs exactly 1")
-        trees.append(tree)
-    return RandomForestModel(
-        config=config,
-        classes=np.array(codes, dtype=np.int64),
-        n_features=n_features,
-        trees=tuple(trees),
-    )

@@ -93,9 +93,6 @@ class FeatureMatrix:
             labels=self.labels,
         )
 
-    def with_labels(self, labels) -> "FeatureMatrix":
-        return FeatureMatrix(self.values, self.column_names, labels)
-
 
 def _write_rows(matrix: FeatureMatrix, lo: int, hi: int, out) -> None:
     """Write rows lo..hi-1 of `matrix` to the binary file `out`, floats
@@ -256,10 +253,11 @@ def _release(lines):
 def read_numeric_csv(path, layout, what: str):
     """(value column names, values, labels) of the numeric CSV at `path`.
 
-    The file is opened and decoded once, into a list of lines. `layout`
-    reads the first CSV record (None in an empty file) and returns
-    (value column names, has_label, file row of the first data row: 1
-    when that record is data, 2 after a header). The body is read by
+    The file is opened and decoded once, into a list of lines, and one
+    byte order mark (U+FEFF) at its start is dropped. `layout` reads the
+    first CSV record (None in an empty file) and returns (value column
+    names, has_label, file row of the first data row: 1 when that record
+    is data, 2 after a header). The body is read by
     `_load_rows` and, where it declines, by `_parse_rows` from the same
     lines, each released once parsed so that the lines and the parsed
     rows are never all held at once. So every accepted file gives the
@@ -276,6 +274,8 @@ def read_numeric_csv(path, layout, what: str):
         raise FormatError(f"cannot open {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not a readable CSV file: {exc}") from None
+    if lines and lines[0].startswith("\ufeff"):
+        lines[0] = lines[0][1:]  # a byte order mark, not part of the first cell
     reader = csv.reader(lines)
     try:
         names, has_label, first_row = layout(next(reader, None))

@@ -96,14 +96,3 @@ def pca_to_json(model: PcaModel) -> str:
         "n": model.n,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def pca_from_json(text: str) -> PcaModel:
-    payload = json.loads(text)
-    components = np.array(payload["components"], dtype=np.float64).T
-    return PcaModel(
-        mean=np.array(payload["mean"], dtype=np.float64),
-        components=components,
-        eigenvalues=np.array(payload["eigenvalues"], dtype=np.float64),
-        n=int(payload["n"]),
-    )

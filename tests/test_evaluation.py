@@ -368,6 +368,23 @@ class _JobAndPid:
         return job, os.getpid()
 
 
+class _SlowJobs:
+    """`n` fold jobs of 10 ms; a job in `failing` raises at once."""
+
+    def __init__(self, n, failing):
+        self.n = n
+        self.failing = failing
+
+    def __len__(self):
+        return self.n
+
+    def __call__(self, job):
+        if job in self.failing:
+            raise ValidationError(f"job {job}")
+        time.sleep(0.01)
+        return job
+
+
 def _open_fds():
     return sorted(os.listdir("/proc/self/fd"))
 
@@ -544,6 +561,21 @@ class TestCrossValidateMany:
         with pytest.raises(ProdcoefError, match=r"worker process died \(killed by signal 9"):
             _run_forked(Jobs(), 2)
         assert time.perf_counter() - started < 30
+        assert_no_child_left()
+
+    def test_failing_job_stops_the_other_workers(self):
+        # 200 jobs of 10 ms on 2 workers, job 0 raising: had the other
+        # worker run the jobs left in the pipe, this would take 2 s.
+        started = time.perf_counter()
+        with pytest.raises(ValidationError, match="^job 0$"):
+            _run_forked(_SlowJobs(200, failing=(0,)), 2)
+        assert time.perf_counter() - started < 0.5
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", [(1,), (3, 5), (150,)])
+    def test_emptied_pipe_keeps_the_first_failing_job(self, failing):
+        with pytest.raises(ValidationError, match=f"^job {failing[0]}$"):
+            _run_forked(_SlowJobs(200, failing), 2)
         assert_no_child_left()
 
     def test_worker_exception_has_its_traceback_as_cause(self):

@@ -11,17 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prodcoef.forest as forest_module
-from prodcoef.errors import FormatError, ValidationError
+from prodcoef.errors import ValidationError
 from prodcoef.evaluation import CrossValPlan, fold_assignment
 from prodcoef.features import NeighborhoodSpec, extract_features
 from prodcoef.forest import (
     _SMALL_NODE_ROWS,
     ForestConfig,
+    RandomForestModel,
     _best_split,
     _CandidateDraws,
     _small_best_split,
+    _Tree,
     _vote_matrix,
-    forest_from_json,
     forest_to_json,
     rf_fit,
     rf_predict_labels,
@@ -80,19 +81,21 @@ def test_different_seeds_differ():
     assert a != b
 
 
-def _forest_payload(classes, n_features, trees):
-    """A saved forest: `trees` lists each tree's nodes in the JSON format."""
-    config = {"n_trees": len(trees), "max_depth": None, "min_samples_split": 2, "seed": 0}
-    return {"classes": classes, "n_features": n_features, "config": config, "trees": trees}
+def _tree(feature, threshold, left, right, counts):
+    """A tree from its node lists, in the dtypes the builder uses."""
+    return _Tree(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        counts=np.array(counts, dtype=np.int64),
+    )
 
 
 def _hand_built_model():
-    tree = [
-        {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
-        {"leaf_counts": {"3": 10}},
-        {"leaf_counts": {"8": 7}},
-    ]
-    return forest_from_json(json.dumps(_forest_payload([3, 8], 2, [tree])))
+    tree = _tree(feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0], left=[1, -1, -1],
+                 right=[2, -1, -1], counts=[[0, 0], [10, 0], [0, 7]])
+    return RandomForestModel(ForestConfig(n_trees=1), np.array([3, 8]), 2, (tree,))
 
 
 def test_hand_built_tree_routing():
@@ -102,8 +105,8 @@ def test_hand_built_tree_routing():
 
 
 def test_identical_single_leaf_trees():
-    leaf = [{"leaf_counts": {"3": 5}}]
-    model = forest_from_json(json.dumps(_forest_payload([1, 3], 1, [leaf] * 3)))
+    leaf = _tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], counts=[[0, 5]])
+    model = RandomForestModel(ForestConfig(n_trees=3), np.array([1, 3]), 1, (leaf,) * 3)
     queries = _matrix([[0.1], [0.9]])
     assert rf_predict_labels(model, queries).tolist() == [3, 3]
     assert _vote_matrix(model, queries).tolist() == [[0, 3], [0, 3]]
@@ -194,28 +197,33 @@ def test_max_depth_zero_gives_single_leaves():
     assert all(len(t.feature) == 1 for t in model.trees)
 
 
-def test_json_round_trip_preserves_predictions():
-    rng = np.random.default_rng(14)
-    X = _matrix(rng.uniform(size=(80, 4)), rng.integers(0, 3, size=80))
-    model = rf_fit(X, ForestConfig(n_trees=15, seed=21))
-    queries = _matrix(rng.uniform(size=(40, 4)))
-    back = forest_from_json(forest_to_json(model))
-    np.testing.assert_array_equal(
-        rf_predict_labels(model, queries), rf_predict_labels(back, queries)
-    )
-    payload = json.loads(forest_to_json(model))
-    assert len(payload["trees"]) == 15
-    node = payload["trees"][0][0]
-    assert ("leaf_counts" in node) or {"feature", "threshold", "left", "right"} <= set(node)
-
-
-def test_json_round_trip_reproduces_node_arrays():
+def test_json_payload_equals_node_arrays():
     rng = np.random.default_rng(18)
     X = _matrix(rng.normal(size=(200, 5)) * 1e3, rng.choice([-4, 2, 7, 30], size=200))
     model = rf_fit(X, ForestConfig(n_trees=6, max_depth=6, seed=9))
-    back = forest_from_json(forest_to_json(model))
-    assert back.classes.tolist() == model.classes.tolist()
-    _assert_same_trees(back.trees, model.trees)
+    payload = json.loads(forest_to_json(model))
+    classes = model.classes.tolist()
+    assert payload["classes"] == classes == [-4, 2, 7, 30]
+    assert payload["n_features"] == 5
+    assert payload["config"] == {"n_trees": 6, "max_depth": 6, "min_samples_split": 2,
+                                 "seed": 9}
+    assert len(payload["trees"]) == len(model.trees) == 6
+    for nodes, tree in zip(payload["trees"], model.trees):
+        assert len(nodes) == len(tree.feature)
+        for i, node in enumerate(nodes):
+            if tree.feature[i] >= 0:
+                assert set(node) == {"feature", "threshold", "left", "right"}
+                assert node["feature"] == tree.feature[i]
+                assert np.float64(node["threshold"]).tobytes() == tree.threshold[i].tobytes()
+                assert (node["left"], node["right"]) == (tree.left[i], tree.right[i])
+                assert not tree.counts[i].any()
+            else:
+                assert set(node) == {"leaf_counts"}
+                assert tree.left[i] == tree.right[i] == -1
+                counts = node["leaf_counts"]
+                assert set(counts) <= {str(c) for c in classes}
+                assert all(count > 0 for count in counts.values())
+                assert [counts.get(str(c), 0) for c in classes] == tree.counts[i].tolist()
 
 
 def test_fitted_model_retains_few_bytes_per_node():
@@ -264,8 +272,6 @@ def test_prediction_column_mismatch():
 def test_bad_config_rejected():
     with pytest.raises(ValidationError):
         ForestConfig(n_trees=0)
-    with pytest.raises(ValidationError):
-        ForestConfig(min_samples_split=1)
     with pytest.raises(ValidationError):
         ForestConfig(seed=-1)
 
@@ -317,7 +323,7 @@ def _reference_best_split(X_node, y_node, counts, features):
 
 
 def _reference_build_tree(X, y, classes, config, rng):
-    """The tree's nodes in preorder, in the saved JSON format."""
+    """The tree's nodes in preorder, in forest_to_json's format."""
     n_rows, n_features = X.shape
     n_classes = len(classes)
     m_try = math.ceil(math.sqrt(n_features))
@@ -335,7 +341,7 @@ def _reference_build_tree(X, y, classes, config, rng):
         counts = np.bincount(y_node, minlength=n_classes)
         at_cap = config.max_depth is not None and depth >= config.max_depth
         split = None
-        if len(rows) >= config.min_samples_split and counts.max() < len(rows) and not at_cap:
+        if counts.max() < len(rows) and not at_cap:
             features = np.sort(rng.choice(n_features, size=m_try, replace=False))
             split = _reference_best_split(X[rows], y_node, counts, features)
         if split is None:
@@ -352,25 +358,20 @@ def _reference_build_tree(X, y, classes, config, rng):
 
 
 def _reference_fit(X, config):
+    """The reference builder's trees, each a list of nodes."""
     classes = np.unique(X.labels)
     y = np.searchsorted(classes, X.labels)
-    trees = [
+    return [
         _reference_build_tree(
             X.values, y, classes.tolist(), config,
             np.random.default_rng(np.random.SeedSequence([config.seed, i])),
         )
         for i in range(config.n_trees)
     ]
-    payload = _forest_payload(classes.tolist(), X.n_cols, trees)
-    return forest_from_json(json.dumps(payload)).trees
 
 
-def _assert_same_trees(got, expected):
-    assert len(got) == len(expected)
-    for a, b in zip(got, expected):
-        for name in ("feature", "threshold", "left", "right", "counts"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+def _saved_trees(model):
+    return json.loads(forest_to_json(model))["trees"]
 
 
 @st.composite
@@ -407,7 +408,6 @@ def tie_grids(draw):
     config = ForestConfig(
         n_trees=draw(st.integers(1, 3)),
         max_depth=draw(st.sampled_from([None, 0, 1, 3])),
-        min_samples_split=draw(st.sampled_from([2, 5])),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
     return _matrix(values, labels), config
@@ -417,7 +417,7 @@ def tie_grids(draw):
 @given(tie_grids())
 def test_trees_equal_reference_builder(case):
     X, config = case
-    _assert_same_trees(rf_fit(X, config).trees, _reference_fit(X, config))
+    assert _saved_trees(rf_fit(X, config)) == _reference_fit(X, config)
 
 
 def test_adjacent_float_boundary_is_skipped_when_midpoint_rounds_up():
@@ -427,7 +427,7 @@ def test_adjacent_float_boundary_is_skipped_when_midpoint_rounds_up():
     X = _matrix([[lo], [hi]] * 4, [0, 1] * 4)
     model = rf_fit(X, ForestConfig(n_trees=3, seed=0))
     assert all(len(tree.feature) == 1 for tree in model.trees)
-    _assert_same_trees(model.trees, _reference_fit(X, ForestConfig(n_trees=3, seed=0)))
+    assert _saved_trees(model) == _reference_fit(X, ForestConfig(n_trees=3, seed=0))
 
 
 @st.composite
@@ -546,151 +546,6 @@ def test_threshold_between_values_whose_difference_overflows(n_rows):
     for tree in model.trees:
         assert tree.feature[0] == 0 and tree.threshold[0] == 0.0
     assert (rf_predict_labels(model, X) == X.labels).all()
-
-
-def _payload_with(mutate):
-    rng = np.random.default_rng(16)
-    X = _matrix(rng.uniform(size=(40, 3)), rng.integers(0, 2, size=40))
-    payload = json.loads(forest_to_json(rf_fit(X, ForestConfig(n_trees=2, seed=0))))
-    nodes = payload["trees"][1]
-    root = nodes[0]
-    assert "feature" in root
-    leaf = next(i for i, node in enumerate(nodes) if "leaf_counts" in node)
-    mutate(root, nodes[leaf])
-    return json.dumps(payload), leaf
-
-
-@pytest.mark.parametrize(
-    "mutate, at_leaf, message",
-    [
-        (lambda root, leaf: root.update(left=0), False, "children"),
-        (lambda root, leaf: root.update(right=10**6), False, "children"),
-        (lambda root, leaf: root.update(feature=3), False, "feature 3"),
-        (lambda root, leaf: root.update(feature=0.5), False, "feature 0.5"),
-        (lambda root, leaf: root.update(left=1.5), False, "children"),
-        (lambda root, leaf: leaf.update(leaf_counts={"5": 1}), True, "leaf class 5"),
-        (lambda root, leaf: (root.clear(), root.update(feature=0)), False,
-         "malformed node: KeyError: 'left'"),
-        (lambda root, leaf: leaf.update(leaf_counts={"a": 1}), True,
-         "malformed node: ValueError"),
-        (lambda root, leaf: root.update(threshold="x"), False, "threshold 'x' is not a number"),
-        (lambda root, leaf: leaf.update(leaf_counts={"0": "many"}), True,
-         "leaf count 'many' is not a count"),
-        (lambda root, leaf: root.update(threshold=float("nan")), False,
-         "threshold nan is not finite"),
-        (lambda root, leaf: root.update(threshold=float("inf")), False,
-         "threshold inf is not finite"),
-        (lambda root, leaf: root.update(threshold=10**400), False,
-         "threshold 10{400} is not finite"),
-        (lambda root, leaf: leaf.update(leaf_counts={"0": 10**30}), True,
-         "leaf count 10{30} is not a count"),
-        (lambda root, leaf: leaf.update(leaf_counts={}), True, "leaf has no counts"),
-        (lambda root, leaf: leaf.update(leaf_counts={"1": 0}), True, "leaf has no counts"),
-    ],
-    ids=[
-        "self-loop", "child out of range", "bad feature", "fractional feature",
-        "fractional child", "unknown class", "split without children", "non-integer class",
-        "non-numeric threshold", "non-integer count", "NaN threshold", "infinite threshold",
-        "overflowing threshold", "overflowing count", "leaf without counts", "zero counts",
-    ],
-)
-def test_forest_from_json_rejects_broken_structure(mutate, at_leaf, message):
-    text, leaf = _payload_with(mutate)
-    node = leaf if at_leaf else 0
-    with pytest.raises(FormatError, match=f"tree 1 node {node}: {message}"):
-        forest_from_json(text)
-
-
-def test_forest_from_json_rejects_empty_tree():
-    text, _ = _payload_with(lambda root, leaf: None)
-    payload = json.loads(text)
-    payload["trees"][0] = []
-    with pytest.raises(FormatError, match="tree 0 has no nodes"):
-        forest_from_json(json.dumps(payload))
-
-
-@pytest.mark.parametrize(
-    "mutate, message",
-    [
-        (lambda p: p.update(classes=[1, 0]), r"classes \[1, 0\] are not strictly ascending"),
-        (lambda p: p.update(classes=[0, 0, 1]), r"classes \[0, 0, 1\] are not strictly"),
-        (lambda p: p.update(classes=[]), r"classes \[\] are not strictly"),
-        (lambda p: p.update(classes=[0, 1.0]), r"classes \[0, 1.0\] are not strictly"),
-        (lambda p: p.update(classes=[0, 2**63]), "are not strictly ascending int64 codes"),
-        (lambda p: p["trees"].pop(), "forest has 1 trees, its config says 2"),
-        (lambda p: p.update(trees=[]), "forest has 0 trees, its config says 2"),
-        (lambda p: p["config"].update(n_trees=3), "forest has 2 trees, its config says 3"),
-        (lambda p: p["config"].update(n_trees=0),
-         "not a forest payload: ValidationError: need at least one tree"),
-        (lambda p: p.update(n_features=float("inf")), "forest n_features inf is not an integer"),
-        (lambda p: p["trees"].__setitem__(0, 5), "forest tree 0 has no nodes"),
-        (lambda p: p.update(n_features="3"), "forest n_features '3' is not an integer"),
-        (lambda p: p.update(n_features=True), "forest n_features True is not an integer"),
-        (lambda p: p.update(n_features=0), "forest n_features 0 is below 1"),
-        (lambda p: p["config"].update(n_trees=2.0), "forest n_trees 2.0 is not an integer"),
-        (lambda p: p["config"].update(n_trees=None), "forest n_trees None is not an integer"),
-        (lambda p: p["config"].update(max_depth=2.5), "forest max_depth 2.5 is not an integer"),
-        (lambda p: p["config"].update(max_depth=False),
-         "forest max_depth False is not an integer"),
-        (lambda p: p["config"].update(min_samples_split="2"),
-         "forest min_samples_split '2' is not an integer"),
-        (lambda p: p["config"].update(seed=1.5), "forest seed 1.5 is not an integer"),
-    ],
-    ids=[
-        "descending classes", "repeated class", "no classes", "float class",
-        "class beyond int64", "missing tree", "no trees", "extra tree in config",
-        "zero trees in config", "infinite feature count", "tree not a node list",
-        "string feature count", "bool feature count", "zero features", "float tree count",
-        "null tree count", "fractional depth", "bool depth", "string split size",
-        "fractional seed",
-    ],
-)
-def test_forest_from_json_rejects_inconsistent_payload(mutate, message):
-    text, _ = _payload_with(lambda root, leaf: None)
-    payload = json.loads(text)
-    mutate(payload)
-    with pytest.raises(FormatError, match=message):
-        forest_from_json(json.dumps(payload))
-
-
-@pytest.mark.parametrize("key", ["classes", "n_features", "config", "trees"])
-def test_forest_from_json_rejects_payload_without(key):
-    text, _ = _payload_with(lambda root, leaf: None)
-    payload = json.loads(text)
-    del payload[key]
-    with pytest.raises(FormatError, match=f"not a forest payload: KeyError: '{key}'"):
-        forest_from_json(json.dumps(payload))
-
-
-def _leaf(counts):
-    return {"leaf_counts": counts}
-
-
-def _split(left, right):
-    return {"feature": 0, "threshold": 0.5, "left": left, "right": right}
-
-
-@pytest.mark.parametrize(
-    "nodes, message",
-    [
-        ([_split(2, 2), _leaf({"3": 1}), _leaf({"8": 1})], "node 1: 0 parents"),
-        ([_split(1, 2), _leaf({"3": 1}), _leaf({"8": 1}), _leaf({"3": 1})],
-         "node 3: 0 parents"),
-        ([_split(1, 2), _split(3, 4), _split(4, 5),
-          _leaf({"3": 1}), _leaf({"8": 1}), _leaf({"3": 1})], "node 4: 2 parents"),
-    ],
-    ids=["left equals right", "orphan node", "node with two parents"],
-)
-def test_forest_from_json_rejects_nodes_without_exactly_one_parent(nodes, message):
-    text = json.dumps(_forest_payload([3, 8], 1, [nodes]))
-    with pytest.raises(FormatError, match=f"tree 0 {message}, needs exactly 1"):
-        forest_from_json(text)
-
-
-def test_forest_from_json_rejects_a_class_spelled_twice_in_one_leaf():
-    nodes = [_split(1, 2), _leaf({"8": 2, "08": 5}), _leaf({"3": 1})]
-    with pytest.raises(FormatError, match="tree 0 node 1: leaf class 08 is listed twice"):
-        forest_from_json(json.dumps(_forest_payload([3, 8], 1, [nodes])))
 
 
 def _assert_draws_equal_choice(d, seeds, draws):

@@ -59,7 +59,7 @@ def test_validation_errors():
         FeatureMatrix([[1.0]], ("label",))  # reserved name
 
 
-def test_csv_round_trip_with_labels(tmp_path):
+def test_csv_round_trip_labeled(tmp_path):
     fm = FeatureMatrix(
         [[0.1, 0.25, 1e-17], [7.5, -3.0, 0.0]], ("a", "b", "c"), [2, 19]
     )
@@ -78,6 +78,14 @@ def test_csv_round_trip_without_labels(tmp_path):
     back = read_feature_csv(path)
     assert back.labels is None
     np.testing.assert_array_equal(back.values, fm.values)
+
+
+def test_csv_header_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"\xef\xbb\xbfx,y,label\n1.5,2.5,3\n")
+    back = read_feature_csv(path)
+    assert back.column_names == ("x", "y")
+    assert back.values.tolist() == [[1.5, 2.5]] and back.labels.tolist() == [3]
 
 
 @pytest.mark.parametrize("batch", [4096, 2])

@@ -9,7 +9,7 @@ from prodcoef.matrix import FeatureMatrix
 from prodcoef.pointcloud import PointCloud, normalize_unit_cube, read_csv, write_csv
 
 
-def test_read_csv_with_labels(tmp_path):
+def test_read_csv_labeled(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("0,0,0,2\n1,1,1,5\n")
     cloud = read_csv(path, has_label=True)
@@ -24,6 +24,16 @@ def test_read_csv_header_skip(tmp_path):
     cloud = read_csv(path, has_label=False)
     assert len(cloud) == 1
     assert cloud.labels is None
+
+
+@pytest.mark.parametrize("header", ["", "x,y,z\n"])
+def test_read_csv_drops_a_leading_byte_order_mark(tmp_path, header):
+    # Left in, the mark fails float() on a headerless file's first cell,
+    # and that point would be dropped as a header.
+    path = tmp_path / "pts.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (header + "0,0,0\n1,2,3\n4,5,6\n").encode())
+    cloud = read_csv(path)
+    assert cloud.xyz.tolist() == [[0, 0, 0], [1, 2, 3], [4, 5, 6]]
 
 
 def test_read_csv_all_non_numeric(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from prodcoef.errors import ValidationError
 from prodcoef.evaluation import CrossValPlan, PipelineSpec, ClassifierPipeline, cross_validate
 from prodcoef.features import NeighborhoodSpec, extract_features
+from prodcoef.matrix import FeatureMatrix
 from prodcoef.pointcloud import normalize_unit_cube
 from prodcoef.synth import CLASS_ORDER, SceneSpec, generate_scene
 
@@ -64,7 +65,8 @@ def test_separation_zero_scores_near_chance():
     real = cross_validate(features, plan, pipeline).mean_f1
 
     rng = np.random.default_rng(0)
-    permuted = features.with_labels(rng.permutation(features.labels))
+    permuted = FeatureMatrix(features.values, features.column_names,
+                             rng.permutation(features.labels))
     baseline = cross_validate(permuted, plan, pipeline).mean_f1
     assert abs(real - baseline) < 0.12
 
