@@ -197,33 +197,59 @@ def test_max_depth_zero_gives_single_leaves():
     assert all(len(t.feature) == 1 for t in model.trees)
 
 
-def test_json_payload_equals_node_arrays():
-    rng = np.random.default_rng(18)
-    X = _matrix(rng.normal(size=(200, 5)) * 1e3, rng.choice([-4, 2, 7, 30], size=200))
-    model = rf_fit(X, ForestConfig(n_trees=6, max_depth=6, seed=9))
-    payload = json.loads(forest_to_json(model))
-    classes = model.classes.tolist()
-    assert payload["classes"] == classes == [-4, 2, 7, 30]
-    assert payload["n_features"] == 5
-    assert payload["config"] == {"n_trees": 6, "max_depth": 6, "min_samples_split": 2,
-                                 "seed": 9}
-    assert len(payload["trees"]) == len(model.trees) == 6
-    for nodes, tree in zip(payload["trees"], model.trees):
-        assert len(nodes) == len(tree.feature)
+def _model_from_payload(payload):
+    """forest_to_json's payload read back into node arrays, checking the
+    keys of every node on the way."""
+    classes = payload["classes"]
+    trees = []
+    for nodes in payload["trees"]:
+        tree = _Tree.blank(len(nodes), len(classes))
         for i, node in enumerate(nodes):
-            if tree.feature[i] >= 0:
-                assert set(node) == {"feature", "threshold", "left", "right"}
-                assert node["feature"] == tree.feature[i]
-                assert np.float64(node["threshold"]).tobytes() == tree.threshold[i].tobytes()
-                assert (node["left"], node["right"]) == (tree.left[i], tree.right[i])
-                assert not tree.counts[i].any()
-            else:
+            if "leaf_counts" in node:
                 assert set(node) == {"leaf_counts"}
-                assert tree.left[i] == tree.right[i] == -1
                 counts = node["leaf_counts"]
                 assert set(counts) <= {str(c) for c in classes}
                 assert all(count > 0 for count in counts.values())
-                assert [counts.get(str(c), 0) for c in classes] == tree.counts[i].tolist()
+                tree.counts[i] = [counts.get(str(c), 0) for c in classes]
+            else:
+                assert set(node) == {"feature", "threshold", "left", "right"}
+                tree.feature[i] = node["feature"]
+                tree.threshold[i] = node["threshold"]
+                tree.left[i], tree.right[i] = node["left"], node["right"]
+        trees.append(tree)
+    config = dict(payload["config"])
+    assert config.pop("min_samples_split") == 2
+    return RandomForestModel(
+        ForestConfig(**config), np.array(classes), payload["n_features"], tuple(trees)
+    )
+
+
+def test_json_round_trip_preserves_predictions():
+    rng = np.random.default_rng(14)
+    X = _matrix(rng.uniform(size=(80, 4)), rng.integers(0, 3, size=80))
+    model = rf_fit(X, ForestConfig(n_trees=15, seed=21))
+    queries = _matrix(rng.uniform(size=(40, 4)))
+    payload = json.loads(forest_to_json(model))
+    assert len(payload["trees"]) == 15
+    back = _model_from_payload(payload)
+    np.testing.assert_array_equal(
+        rf_predict_labels(model, queries), rf_predict_labels(back, queries)
+    )
+
+
+def test_json_round_trip_reproduces_node_arrays():
+    rng = np.random.default_rng(18)
+    X = _matrix(rng.normal(size=(200, 5)) * 1e3, rng.choice([-4, 2, 7, 30], size=200))
+    model = rf_fit(X, ForestConfig(n_trees=6, max_depth=6, seed=9))
+    back = _model_from_payload(json.loads(forest_to_json(model)))
+    assert back.config == model.config
+    assert back.classes.tolist() == model.classes.tolist() == [-4, 2, 7, 30]
+    assert back.n_features == model.n_features == 5
+    assert len(back.trees) == len(model.trees) == 6
+    for got, want in zip(back.trees, model.trees):
+        for name in ("feature", "threshold", "left", "right", "counts"):
+            assert getattr(got, name).shape == getattr(want, name).shape
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_fitted_model_retains_few_bytes_per_node():
