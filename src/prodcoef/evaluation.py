@@ -94,7 +94,8 @@ def f1_score(true_labels, predicted, average: str = "macro") -> float:
     """Macro, micro (accuracy) or weighted F1 over the truth's classes."""
     _check_average(average)
     true_labels, predicted = _check_label_pair(true_labels, predicted)
-    classes = np.unique(np.concatenate([true_labels, predicted]))
+    # With an inverse, np.unique does not import numpy.ma (numpy 2.4).
+    classes = np.unique(np.concatenate([true_labels, predicted]), return_inverse=True)[0]
     return _f1_from_confusion(_confusion(classes, true_labels, predicted), average)
 
 
@@ -251,8 +252,9 @@ class _FoldJobs:
         for features, _, _ in runs:
             key = features.labels.tobytes()
             if key not in splits:
+                # The inverse keeps numpy.ma unloaded, as in f1_score.
                 splits[key] = (fold_assignment(features.labels, plan),
-                               np.unique(features.labels))
+                               np.unique(features.labels, return_inverse=True)[0])
         self.splits = [splits[features.labels.tobytes()] for features, _, _ in runs]
 
     def __len__(self) -> int:

@@ -20,11 +20,11 @@ its bootstrap sample and weights them by how often they were drawn: a
 node's order matrix lists its rows sorted by each column, one gather
 and one cumsum of the weighted one-hot labels give every candidate's
 left class counts, and a stable boolean partition hands each child its
-own order matrix, so no node sorts or bincounts. This grows the same
-trees as splitting the duplicated rows. A gain at a boundary between
-distinct values depends only on the class counts to its left, which
-weights reproduce exactly; the gain keeps the float expression of the
-duplicated-row split. Boundaries inside a run of equal values never
+own order matrix, so no large node sorts or bincounts. This grows the
+same trees as splitting the duplicated rows. A gain at a boundary
+between distinct values depends only on the class counts to its left,
+which weights reproduce exactly; the gain keeps the float expression of
+the duplicated-row split. Boundaries inside a run of equal values never
 qualify, so dropping duplicates removes no candidate.
 
 The weighted one-hot table is float64. Every value the split search
@@ -33,19 +33,19 @@ squared counts up to n**2, and the right side's sum of squares,
 T.T - 2 L.T + L.L for left counts L and node totals T, whose partial
 results stay within 2 n**2. Below 2**26 training rows all of them lie
 under 2**53, so float64 holds them exactly, in any summation order,
-and the gains equal those of integer arithmetic bit for bit.
+with or without fused multiply-add, and the gains equal those of
+integer arithmetic bit for bit. Node totals are Python ints.
 
-A node with fewer than _SMALL_NODE_ROWS (16) distinct rows is searched
-by _small_best_split instead, which walks each sampled feature's order
-in Python: there _best_split's fixed cost of about two dozen numpy
-calls outweighs a per-row loop. The loop's cost grows with rows times
-sampled features, so the break-even node has about 30 rows at 2
-sampled features and about 16 at 4 (PCA-10). Cutoffs of 16, 24 and 32
-rows are within 3% of each other on desk-scale PCA-3..10 folds, and 16
-is best on the PCA-10 proxy fold. The loop's running sums are the same
-integers held exactly, and it repeats _best_split's float operations
-in the same order, so both searches return the same split bit for bit;
-a test compares them node by node.
+A node with fewer than _SMALL_NODE_ROWS (16) distinct rows is held as
+one ascending list of its rows and searched by _small_best_split, which
+sorts the list by each sampled feature (stably, so ties, -0.0 and 0.0
+among them, keep row order as in the order matrix) and walks it in
+Python: there _best_split's fixed cost of about two dozen numpy calls
+outweighs a per-row loop. A split partitions that one list. Cutoffs of
+16, 24 and 32 rows time alike on desk-scale PCA-3..10 folds. The loop's
+running sums are the same integers held exactly, and it repeats
+_best_split's float operations in the same order, so both searches
+return the same split bit for bit; a test compares them node by node.
 
 Candidate draws do not call Generator.choice per node, whose fixed
 cost outweighs the sampling: _CandidateDraws reproduces its samples
@@ -56,22 +56,24 @@ loudly.
 
 The threshold between neighbours lo < hi is lo + (hi - lo) / 2, unless
 hi - lo overflows; then it is lo / 2 + hi / 2. A boundary whose
-midpoint rounds up to hi (adjacent floats) is skipped, because the
-threshold would not separate the two values.
+midpoint rounds up to hi (adjacent floats) is skipped, as that
+threshold would not separate the two values. Midpoints are computed
+only where they decide: by _best_split at the argmax of the gains
+(taken again without that boundary if it is skipped), and by
+_small_best_split where a gain beats the best so far.
 
 A fitted tree is five arrays, one row per node in preorder: feature,
 threshold, left and right child, and an (n_nodes, n_classes) table of
-class counts that is zero except at leaves. The builder writes them in
-place, sized by the bound 2 * distinct rows - 1, and trims them once
-the tree is done. `forest_to_json` writes them out for inspection; no
-command reads a forest back.
+class counts that is zero except at leaves, made from the builder's
+Python lists once the tree is done. `forest_to_json` writes them out
+for inspection; no command reads a forest back.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,21 +114,6 @@ class _Tree:
     right: np.ndarray  # int32 per node
     counts: np.ndarray  # (n_nodes, n_classes) int64
 
-    @classmethod
-    def blank(cls, n_nodes: int, n_classes: int) -> _Tree:
-        """`n_nodes` leaves with no counts, to be filled in place."""
-        return cls(
-            feature=np.full(n_nodes, -1, dtype=np.int32),
-            threshold=np.zeros(n_nodes),
-            left=np.full(n_nodes, -1, dtype=np.int32),
-            right=np.full(n_nodes, -1, dtype=np.int32),
-            counts=np.zeros((n_nodes, n_classes), dtype=np.int64),
-        )
-
-    def head(self, n_nodes: int) -> _Tree:
-        """A copy of the first `n_nodes` nodes."""
-        return _Tree(*(getattr(self, f.name)[:n_nodes].copy() for f in fields(self)))
-
     @property
     def leaf_major(self) -> np.ndarray:
         """Majority class position per node, read at leaves. argmax
@@ -150,27 +137,31 @@ def _gini(counts: list, total: float) -> float:
     return 1.0 - numpy_sum([p * p for p in [c / total for c in counts]])
 
 
+def _midpoint(lo: float, hi: float) -> float:
+    """The threshold between neighbours lo < hi (see the module docstring)."""
+    step = hi - lo
+    return lo / 2 + hi / 2 if step == math.inf else lo + step / 2.0
+
+
 def _best_split(columns: np.ndarray, rows: np.ndarray, table: np.ndarray,
-                totals: np.ndarray, features: list[int], wide: bool):
+                totals: list[int], features: list[int]):
     """Best (feature, cut, threshold, left totals) by Gini gain over the
-    sampled features of one node.
+    sampled features of one node, or None when no candidate has strictly
+    positive gain.
 
     `columns` is the training matrix transposed. `rows` is the node's
     (n_features, n) order matrix: row f lists the node's distinct rows
     sorted by column f. `table` holds each row's weighted one-hot class
-    counts plus its weight in the last column, as float64, and `totals`
-    is the node's sum of it. The first `cut` entries of the winning
-    feature's order go left. `wide` says some column's span overflows,
-    so a midpoint may need the overflow-safe form. Returns None when no
-    candidate has strictly positive gain. `features` must be sorted
-    ascending so the first argmax hit honors the lowest-feature
-    tie-break; within one feature, thresholds ascend with sort position,
-    so the first argmax hit is the lowest threshold.
+    counts plus its weight in the last column, as float64; `totals`, the
+    node's sum of it, and the left totals returned are Python ints. The
+    first `cut` entries of the winning feature's order go left.
+    `features` must be sorted ascending so the first argmax hit honors
+    the lowest-feature tie-break; within one feature, thresholds ascend
+    with sort position, so the first argmax hit is the lowest threshold.
     """
-    n = totals[-1]
-    features = np.array(features)
+    *class_totals, n = totals
     order = rows[features]
-    xs = columns[features[:, None], order]
+    xs = columns[np.array(features)[:, None], order]
     cum = np.cumsum(table.take(order, axis=0), axis=1)
 
     left = cum[:, :-1, :-1]  # class counts at split "after entry i"
@@ -178,28 +169,27 @@ def _best_split(columns: np.ndarray, rows: np.ndarray, table: np.ndarray,
     sumsq_left = np.einsum("ijk,ijk->ij", left, left)
     # sum((T - L)^2) without building T - L; exact, as every partial
     # result is an integer below 2**53 (see the module docstring).
-    class_totals = totals[:-1]
-    sumsq_right = (class_totals @ class_totals - 2.0 * (left @ class_totals)) + sumsq_left
+    totals_sq = sum([t * t for t in class_totals])
+    sumsq_right = (totals_sq - 2.0 * (left @ class_totals)) + sumsq_left
     n_right = n - n_left
     weighted = (n_left - sumsq_left / n_left + n_right - sumsq_right / n_right) / n
-    gain = _gini(class_totals.tolist(), float(n)) - weighted
-
-    lo, hi = xs[:, :-1], xs[:, 1:]
-    if wide:
-        with np.errstate(over="ignore"):
-            step = hi - lo
-            mid = np.where(np.isinf(step), lo / 2 + hi / 2, lo + step / 2.0)
-    else:
-        mid = lo + (hi - lo) / 2.0
-    # Equal neighbours give mid == hi, so this also rejects ties.
-    gain = np.where(mid < hi, gain, -np.inf)
+    gain = _gini(class_totals, n) - weighted
+    gain[xs[:, 1:] == xs[:, :-1]] = -math.inf
 
     # The first maximum in row-major order is the lowest feature, then
-    # the lowest threshold.
-    winner, pos = divmod(int(np.argmax(gain)), gain.shape[1])
-    if not gain[winner, pos] > 0.0:
-        return None
-    return int(features[winner]), pos + 1, float(mid[winner, pos]), cum[winner, pos]
+    # the lowest threshold; a boundary whose midpoint rounds up to hi is
+    # dropped and the argmax taken again.
+    flat = gain.ravel()
+    while True:
+        best = int(flat.argmax())
+        if not flat[best] > 0.0:
+            return None
+        winner, pos = divmod(best, gain.shape[1])
+        hi = xs.item(winner, pos + 1)
+        mid = _midpoint(xs.item(winner, pos), hi)
+        if mid < hi:
+            return features[winner], pos + 1, mid, [int(c) for c in cum[winner, pos].tolist()]
+        flat[best] = -math.inf
 
 
 # Nodes with fewer distinct rows than this take _small_best_split (see
@@ -207,31 +197,27 @@ def _best_split(columns: np.ndarray, rows: np.ndarray, table: np.ndarray,
 _SMALL_NODE_ROWS = 16
 
 
-def _small_best_split(column_views: list[memoryview], rows: np.ndarray,
+def _small_best_split(column_views: list[memoryview], rows: list[int],
                       y_view: memoryview, weight_view: memoryview,
-                      totals: np.ndarray, features: list[int]):
-    """_best_split's result, from one Python walk per sampled feature.
+                      totals: list[int], features: list[int]):
+    """_best_split's result for a node given as the ascending list of its
+    distinct rows, from one Python walk per sampled feature.
 
-    `column_views` holds a memoryview of each column (row of the
-    transposed training matrix); `y_view` and `weight_view` give every
-    training row's class position and weight. The walk keeps the left
-    class counts and both sides' sizes and sums of squared class counts
-    as Python ints, updated row by row. Each is an integer below 2**53,
-    and so is the value _best_split's cumsum, einsum and matmul give it,
-    so both searches hold the same numbers exactly; the gain, the
-    midpoint, the `mid < hi` skip and the first strictly positive
-    maximum then repeat _best_split's float operations in its order.
-    Only a wide matrix has a step hi - lo that overflows, so testing
-    every step for infinity picks the same midpoint form.
+    `column_views` holds a memoryview of each column; `y_view` and
+    `weight_view` give every training row's class position and weight.
+    The walk keeps the left class counts and both sides' sizes and sums
+    of squared class counts as Python ints, row by row: the integers
+    _best_split holds exactly in float64. The gain repeats its float
+    operations in the same order.
     """
-    *class_totals, n = [int(t) for t in totals.tolist()]
+    *class_totals, n = totals
     gini = _gini(class_totals, n)
     totals_sq = sum([t * t for t in class_totals])
-    inf = math.inf
     best_gain = 0.0
     best = None
-    for feature, order in zip(features, rows.take(features, axis=0).tolist()):
+    for feature in features:
         x = column_views[feature]
+        order = sorted(rows, key=x.__getitem__)
         left = [0] * len(class_totals)
         n_left = sumsq_left = 0
         n_right, sumsq_right = n, totals_sq
@@ -251,19 +237,15 @@ def _small_best_split(column_views: list[memoryview], rows: np.ndarray,
             hi = x[upper]
             if lo == hi:
                 continue
-            step = hi - lo
-            mid = lo / 2 + hi / 2 if step == inf else lo + step / 2.0
-            if mid < hi:
-                gain = gini - (n_left - sumsq_left / n_left
-                               + n_right - sumsq_right / n_right) / n
-                if gain > best_gain:
+            gain = gini - (n_left - sumsq_left / n_left
+                           + n_right - sumsq_right / n_right) / n
+            if gain > best_gain:
+                mid = _midpoint(lo, hi)
+                if mid < hi:
                     best_gain = gain
                     best = feature, cut, mid, [*left, n_left]
             lo = hi
-    if best is None:
-        return None
-    feature, cut, mid, left_totals = best
-    return feature, cut, mid, np.array(left_totals, dtype=np.float64)
+    return best
 
 
 class _CandidateDraws:
@@ -331,7 +313,7 @@ class _CandidateDraws:
         return sorted(kept)
 
 
-def _build_tree(columns: np.ndarray, order: np.ndarray, wide: bool, y: np.ndarray,
+def _build_tree(columns: np.ndarray, order: np.ndarray, y: np.ndarray,
                 n_classes: int, config: ForestConfig, rng: np.random.Generator) -> _Tree:
     n_features, n_rows = columns.shape
     weight = np.bincount(rng.integers(0, n_rows, size=n_rows), minlength=n_rows)
@@ -341,59 +323,79 @@ def _build_tree(columns: np.ndarray, order: np.ndarray, wide: bool, y: np.ndarra
     table[:, n_classes] = weight
     column_views = [memoryview(column) for column in columns]
     y_view, weight_view = memoryview(y), memoryview(weight)
+    max_depth = math.inf if config.max_depth is None else config.max_depth
 
-    def can_split(totals, depth):
-        if config.max_depth is not None and depth >= config.max_depth:
-            return False
-        *counts, size = totals.tolist()
-        return max(counts) < size
-
-    totals = table.sum(axis=0)
-    root = order[(weight > 0)[order]].reshape(n_features, -1)
-    # Every leaf holds at least one distinct row, which bounds the nodes.
-    tree = _Tree.blank(2 * root.shape[1] - 1, n_classes)
-    n_nodes = 0
-    # Stack of (order matrix, or None for a leaf; class counts plus size;
-    # depth; parent node; is_left_child). Popping left children first
-    # keeps the RNG draw order a fixed preorder walk.
-    stack = [(root if can_split(totals, 0) else None, totals, 0, -1, False)]
+    totals = [int(t) for t in table.sum(axis=0).tolist()]
+    drawn = np.flatnonzero(weight)
+    root = (drawn.tolist() if len(drawn) < _SMALL_NODE_ROWS
+            else order[(weight > 0)[order]].reshape(n_features, -1))
+    # Node records in preorder. A split node's left child is the next
+    # node; its right child is set when that child is popped.
+    feature, threshold, right, counts = [], [], [], []
+    no_counts = [0] * n_classes
+    # Stack of (rows: an ascending list below _SMALL_NODE_ROWS, else an
+    # order matrix, None for a leaf; class counts plus size; depth; the
+    # node whose right child this is, or -1).
+    grows = 0 < max_depth and max(totals[:-1]) < totals[-1]
+    stack = [(root if grows else None, totals, 0, -1)]
     while stack:
-        rows, totals, depth, parent, is_left = stack.pop()
-        node = n_nodes
-        n_nodes += 1
+        rows, totals, depth, parent = stack.pop()
+        node = len(feature)
         if parent >= 0:
-            (tree.left if is_left else tree.right)[parent] = node
-
+            right[parent] = node
+        right.append(-1)
         split = None
         if rows is not None:
             features = candidates.draw()
-            if rows.shape[1] < _SMALL_NODE_ROWS:
+            if isinstance(rows, list):
                 split = _small_best_split(column_views, rows, y_view, weight_view,
                                           totals, features)
             else:
-                split = _best_split(columns, rows, table, totals, features, wide)
+                split = _best_split(columns, rows, table, totals, features)
         if split is None:
-            tree.counts[node] = totals[:n_classes]
+            feature.append(-1)
+            threshold.append(0.0)
+            counts.append(totals[:-1])
             continue
-        feature, cut, threshold, left_cum = split
-        tree.feature[node] = feature
-        tree.threshold[node] = threshold
-        # A copy, so the child does not keep the parent's cumsum alive.
-        left_totals = left_cum.copy()
-        right_totals = totals - left_totals
+        f, cut, mid, left_totals = split
+        feature.append(f)
+        threshold.append(mid)
+        counts.append(no_counts)
+        right_totals = [t - l for t, l in zip(totals, left_totals)]
+        depth += 1
+        left_open = depth < max_depth and max(left_totals[:-1]) < left_totals[-1]
+        right_open = depth < max_depth and max(right_totals[:-1]) < right_totals[-1]
         left_rows = right_rows = None
-        left_open = can_split(left_totals, depth + 1)
-        right_open = can_split(right_totals, depth + 1)
-        if left_open or right_open:
-            go_left = (columns[feature][rows] <= threshold).ravel()
+        if isinstance(rows, list):
+            x = column_views[f]
             if left_open:
-                left_rows = rows.compress(go_left).reshape(n_features, cut)
+                left_rows = [row for row in rows if x[row] <= mid]
             if right_open:
-                right_rows = rows.compress(~go_left).reshape(n_features, -1)
-        # Push right first so the left child is popped (and built) first.
-        stack.append((right_rows, right_totals, depth + 1, node, False))
-        stack.append((left_rows, left_totals, depth + 1, node, True))
-    return tree.head(n_nodes)
+                right_rows = [row for row in rows if x[row] > mid]
+        else:
+            # The first `cut` entries of the winning order go left.
+            small_left = cut < _SMALL_NODE_ROWS
+            small_right = rows.shape[1] - cut < _SMALL_NODE_ROWS
+            if left_open and not small_left or right_open and not small_right:
+                go_left = (columns[f][rows] <= mid).ravel()
+            if left_open:
+                left_rows = (sorted(rows[f, :cut].tolist()) if small_left
+                             else rows.compress(go_left).reshape(n_features, cut))
+            if right_open:
+                right_rows = (sorted(rows[f, cut:].tolist()) if small_right
+                              else rows.compress(~go_left).reshape(n_features, -1))
+        # Push right first so the left child is popped (and built) first,
+        # which keeps the RNG draw order a fixed preorder walk.
+        stack.append((right_rows, right_totals, depth, node))
+        stack.append((left_rows, left_totals, depth, -1))
+    feature = np.array(feature, dtype=np.int32)
+    return _Tree(
+        feature=feature,
+        threshold=np.array(threshold),
+        left=np.where(feature >= 0, np.arange(1, len(feature) + 1, dtype=np.int32), -1),
+        right=np.array(right, dtype=np.int32),
+        counts=np.array(counts, dtype=np.int64),
+    )
 
 
 def rf_fit(X: FeatureMatrix, config: ForestConfig | None = None) -> RandomForestModel:
@@ -406,17 +408,15 @@ def rf_fit(X: FeatureMatrix, config: ForestConfig | None = None) -> RandomForest
     if X.n_rows < 2:
         raise ValidationError(f"need at least 2 training rows, got {X.n_rows}")
 
-    classes = np.unique(X.labels)
-    y = np.searchsorted(classes, X.labels)
+    # With an inverse, np.unique does not import numpy.ma (numpy 2.4).
+    classes, y = np.unique(X.labels, return_inverse=True)
     columns = np.ascontiguousarray(X.values.T)
     # Row f lists all rows sorted by column f; stable, so ties keep row order.
     order = np.argsort(columns, axis=1, kind="stable")
-    with np.errstate(over="ignore"):
-        wide = not np.isfinite(columns.max(axis=1) - columns.min(axis=1)).all()
     trees = []
     for i in range(config.n_trees):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, i]))
-        trees.append(_build_tree(columns, order, wide, y, len(classes), config, rng))
+        trees.append(_build_tree(columns, order, y, len(classes), config, rng))
     return RandomForestModel(
         config=config, classes=classes, n_features=X.n_cols, trees=tuple(trees)
     )

@@ -112,7 +112,8 @@ class KnnModel:
     @property
     def classes(self) -> np.ndarray:
         """Sorted class codes; the column order of the vote matrix."""
-        return np.unique(self.train.labels)
+        # With an inverse, np.unique does not import numpy.ma (numpy 2.4).
+        return np.unique(self.train.labels, return_inverse=True)[0]
 
 
 def _span_centers(T: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -169,6 +169,15 @@ def _parse_label(cell: str, path, row_num: int) -> int:
     return label
 
 
+def is_number(cell: str) -> bool:
+    """Whether float() reads the CSV cell."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_rows(rows, first_row: int, path, n_values: int, has_label: bool, what: str):
     """(values, labels) of the CSV rows after a header; `rows` yields
     file row `first_row` first. This is the reference reading, and the
@@ -176,9 +185,10 @@ def _parse_rows(rows, first_row: int, path, n_values: int, has_label: bool, what
 
     An empty row, or one whose only cell is whitespace, is skipped. Every
     other row holds `n_values` floats, then an integer label when
-    `has_label`. A row of another width, a cell that is not a number,
-    a NaN or infinity, or a bad label is a FormatError naming the file
-    row; `what` names the value columns in the message.
+    `has_label`. A row of another width, a cell that is not a number
+    (quoted in the message, cut to 40 characters), a NaN or infinity, or
+    a bad label is a FormatError naming the file row; `what` names the
+    value columns in the message.
     """
     width = n_values + has_label
     values: list[tuple[float, ...]] = []
@@ -192,7 +202,8 @@ def _parse_rows(rows, first_row: int, path, n_values: int, has_label: bool, what
         try:
             values.append(tuple(map(float, row[:n_values])))
         except ValueError:
-            raise FormatError(f"{path} row {row_num}: non-numeric {what}") from None
+            bad = next(cell for cell in row[:n_values] if not is_number(cell))
+            raise FormatError(f"{path} row {row_num}: non-numeric {what} {bad[:40]!r}") from None
         row_nums.append(row_num)
         if has_label:
             labels.append(_parse_label(row[-1], path, row_num))

@@ -14,7 +14,8 @@ import numpy as np
 
 from .choices import NORMALIZE_MODES
 from .errors import ValidationError
-from .matrix import FeatureMatrix, read_numeric_csv, rescale_unit_columns, write_feature_csv
+from .matrix import (FeatureMatrix, is_number, read_numeric_csv, rescale_unit_columns,
+                     write_feature_csv)
 
 XYZ_COLUMNS = ("x", "y", "z")
 
@@ -87,15 +88,14 @@ def normalize_unit_cube(cloud: PointCloud, mode: str = "per-axis") -> PointCloud
 def read_csv(path, has_label: bool = False) -> PointCloud:
     """Read a `x,y,z[,label]` CSV file into a point cloud.
 
-    A header row is auto-detected: if the first row does not parse as
-    numbers it is skipped. Rows follow the feature CSV's row rules
-    (`prodcoef.matrix.read_numeric_csv`), and errors carry 1-based row
-    numbers that count the header.
+    A header row is auto-detected: the first row is skipped when none of
+    its cells parses as a number. A first row with a number in it is
+    data, so a bad cell there is an error rather than a dropped point.
+    Rows follow the feature CSV's row rules (`read_numeric_csv`), and
+    errors carry 1-based row numbers that count the header.
     """
     def layout(first):
-        try:
-            [float(cell) for cell in first or ()]
-        except ValueError:
+        if first and not any(map(is_number, first)):
             return XYZ_COLUMNS, has_label, 2  # header row
         return XYZ_COLUMNS, has_label, 1
 

@@ -467,15 +467,16 @@ _NOT_FEATURES = ("scipy.spatial", "prodcoef.evaluation", "prodcoef.forest", "pro
     # Folds of a few hundred training rows take KNN's direct filter,
     # which needs no kd-tree, before and after a fork.
     # Fold workers and formatters are plain forked processes.
+    # np.unique without an inverse would import numpy.ma (numpy 2.4).
     pytest.param(["evaluate", "--features", "{features}", "--table", "1", "--folds", "3",
                   "--trees", "2", "--out-dir", "{out}"],
                  ("scipy.spatial", "prodcoef.las", "prodcoef.synth", "prodcoef.dyadic",
-                  *_PROCESS_POOL),
+                  "numpy.ma", *_PROCESS_POOL),
                  id="evaluate"),
     pytest.param(["run", "--input", "{scene}", "--has-label", "--radius", "0.3", "--table", "1",
                   "--folds", "3", "--trees", "2", "--threads", "2", "--out-dir", "{out}"],
                  ("scipy.spatial", "prodcoef.las", "prodcoef.synth", "prodcoef.dyadic",
-                  *_PROCESS_POOL),
+                  "numpy.ma", *_PROCESS_POOL),
                  id="run-threads"),
 ])
 def test_command_leaves_modules_unloaded(tmp_path, scene_csv, argv, unloaded):

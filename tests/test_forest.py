@@ -203,20 +203,21 @@ def _model_from_payload(payload):
     classes = payload["classes"]
     trees = []
     for nodes in payload["trees"]:
-        tree = _Tree.blank(len(nodes), len(classes))
-        for i, node in enumerate(nodes):
+        arrays = {"feature": [], "threshold": [], "left": [], "right": [], "counts": []}
+        for node in nodes:
             if "leaf_counts" in node:
                 assert set(node) == {"leaf_counts"}
                 counts = node["leaf_counts"]
                 assert set(counts) <= {str(c) for c in classes}
                 assert all(count > 0 for count in counts.values())
-                tree.counts[i] = [counts.get(str(c), 0) for c in classes]
+                record = -1, 0.0, -1, -1, [counts.get(str(c), 0) for c in classes]
             else:
                 assert set(node) == {"feature", "threshold", "left", "right"}
-                tree.feature[i] = node["feature"]
-                tree.threshold[i] = node["threshold"]
-                tree.left[i], tree.right[i] = node["left"], node["right"]
-        trees.append(tree)
+                record = (node["feature"], node["threshold"], node["left"], node["right"],
+                          [0] * len(classes))
+            for values, value in zip(arrays.values(), record):
+                values.append(value)
+        trees.append(_tree(**arrays))
     config = dict(payload["config"])
     assert config.pop("min_samples_split") == 2
     return RandomForestModel(
@@ -403,7 +404,7 @@ def _saved_trees(model):
 @st.composite
 def tie_grids(draw):
     """Tie-heavy labeled grids: few distinct values per column, repeated
-    rows, sometimes a constant column and adjacent floats."""
+    rows, sometimes signed zeros, a constant column and adjacent floats."""
     # Up to five times the small-node cutoff, so trees search nodes on
     # both sides of it.
     n_rows = draw(st.integers(2, 5 * _SMALL_NODE_ROWS))
@@ -418,6 +419,12 @@ def tie_grids(draw):
     )
     values = np.array(base, dtype=float)[np.arange(n_rows) % distinct]
     values *= draw(st.sampled_from([1.0, 0.1, 1 / 3]))
+    if draw(st.booleans()):
+        # Signed zeros: -0.0 and 0.0 are one value, which no threshold
+        # separates and whose rows sort in row order.
+        col = draw(st.integers(0, n_cols - 1))
+        negated = np.array(draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
+        values[negated, col] *= -1.0
     if draw(st.booleans()):
         values[:, draw(st.integers(0, n_cols - 1))] = 0.7
     if draw(st.booleans()):
@@ -456,11 +463,30 @@ def test_adjacent_float_boundary_is_skipped_when_midpoint_rounds_up():
     assert _saved_trees(model) == _reference_fit(X, ForestConfig(n_trees=3, seed=0))
 
 
+def test_large_node_retries_when_the_top_boundary_midpoint_rounds_up():
+    # The root's best boundary, lo | hi, splits the classes perfectly,
+    # but its midpoint rounds up to hi; _best_split then takes the next
+    # best boundary, next to 0.5 or 2.0.
+    lo = 1.0 + 2.0**-52
+    hi = np.nextafter(lo, np.inf)
+    values = [0.5] * 6 + [lo] * 14 + [hi] * 14 + [2.0] * 4
+    labels = [0] * 20 + [1] * 18
+    X = _matrix(np.array(values)[:, None], labels)
+    config = ForestConfig(n_trees=4, seed=0)
+    model = rf_fit(X, config)
+    for i, tree in enumerate(model.trees):
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, i]))
+        assert len(np.unique(rng.integers(0, X.n_rows, size=X.n_rows))) >= _SMALL_NODE_ROWS
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] in (0.5 + (lo - 0.5) / 2, hi + (2.0 - hi) / 2)
+    assert _saved_trees(model) == _reference_fit(X, config)
+
+
 @st.composite
 def small_nodes(draw):
     """One split search below the small-node cutoff: weights 1-5, 2-12
     classes, and columns that are tie-heavy, adjacent floats, spread
-    over +-1e308 (so the matrix is wide) or plain floats."""
+    over +-1e308 (so hi - lo overflows) or plain floats."""
     n_features = draw(st.integers(1, 6))
     n_node = draw(st.integers(2, _SMALL_NODE_ROWS - 1))
     n_rows = n_node + draw(st.integers(0, 8))
@@ -499,19 +525,18 @@ def test_small_node_search_equals_best_split(case):
     table = np.zeros((len(y), n_classes + 1))
     table[np.arange(len(y)), y] = weight
     table[:, n_classes] = weight
-    totals = table[rows[0]].sum(axis=0)
-    with np.errstate(over="ignore"):
-        wide = not np.isfinite(columns.max(axis=1) - columns.min(axis=1)).all()
-    expected = _best_split(columns, rows, table, totals, features, wide)
-    got = _small_best_split([memoryview(c) for c in columns], rows, memoryview(y),
-                            memoryview(weight), totals, features)
+    totals = [int(t) for t in table[rows[0]].sum(axis=0).tolist()]
+    expected = _best_split(columns, rows, table, totals, features)
+    got = _small_best_split([memoryview(c) for c in columns], sorted(rows[0].tolist()),
+                            memoryview(y), memoryview(weight), totals, features)
     if expected is None:
         assert got is None
         return
     assert got is not None
     assert got[:2] == expected[:2]
     assert np.float64(got[2]).tobytes() == np.float64(expected[2]).tobytes()
-    assert (got[3].dtype, got[3].tobytes()) == (expected[3].dtype, expected[3].tobytes())
+    assert got[3] == expected[3]
+    assert all(type(count) is int for count in got[3] + expected[3])
 
 
 def _sha256(text):

@@ -26,6 +26,16 @@ def test_read_csv_header_skip(tmp_path):
     assert cloud.labels is None
 
 
+@pytest.mark.parametrize("first, cell", [("0,0,0O", "0O"), ("x,1,2", "x"), ("1,y,z", "y")])
+def test_read_csv_first_row_with_a_number_is_data(tmp_path, first, cell):
+    # Only a first row without any numeric cell is a header; in any other
+    # the bad cell is an error, not a point dropped as a header.
+    path = tmp_path / "pts.csv"
+    path.write_text(first + "\n1,2,3\n4,5,6\n")
+    with pytest.raises(FormatError, match=f"row 1: non-numeric coordinate '{cell}'$"):
+        read_csv(path)
+
+
 @pytest.mark.parametrize("header", ["", "x,y,z\n"])
 def test_read_csv_drops_a_leading_byte_order_mark(tmp_path, header):
     # Left in, the mark fails float() on a headerless file's first cell,
