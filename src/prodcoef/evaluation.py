@@ -9,13 +9,13 @@ only; held-out labels can never leak into fitting.
 `cross_validate_many` evaluates many (features, pipeline) runs at once.
 Each (run, fold) fit-and-predict is one independent job; with more than
 one worker the jobs run on plain processes made by POSIX fork
-(`workers.ForkedChildren`), which take job numbers in order from one
-pipe, inherit the data copy-on-write and send back only each fold's
-confusion matrix, through a temporary file read once the worker has
-exited. Each worker holds one fold's model at a time. Every F1 and
-report is read from those matrices in job order, so reports are the
-same bytes for any worker count.
-`cross_validate` is its one-run, in-process case.
+(`workers.ForkedChildren`), which take job ranges in order from one pipe
+(a job each up to PIPE_BUF / 4 jobs), inherit the data copy-on-write and
+send back only each fold's confusion matrix, through a temporary file
+read once the worker has exited. Each worker holds one fold's model at a
+time. Every F1 and report is read from those matrices in job order, so
+reports are the same bytes for any worker count. `cross_validate` is its
+one-run, in-process case.
 
 `render_report` turns reports into the paper's tables: it maps each
 knn or rf report to its cell of table 1 (feature set by classifier) or
@@ -32,6 +32,7 @@ import io
 import json
 import os
 import pickle
+import select
 import traceback
 from dataclasses import dataclass, field
 
@@ -281,17 +282,6 @@ class _FoldJobs:
 _RECORD_BYTES = 4
 
 
-def _pipe_capacity(fd: int) -> int:
-    """Bytes the empty pipe `fd` takes without a write blocking: its size
-    where the system tells it (Linux), else POSIX's PIPE_BUF."""
-    import fcntl  # POSIX only, as fork is
-    import select
-
-    if hasattr(fcntl, "F_GETPIPE_SZ"):
-        return fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
-    return select.PIPE_BUF
-
-
 class _WorkerTraceback(Exception):
     """The traceback, as text, of a job's exception in a forked worker;
     the cause of that exception where this process raises it."""
@@ -338,25 +328,25 @@ def _run_forked(jobs: _FoldJobs, workers: int) -> list[np.ndarray]:
     none.
 
     Before the first fork, every job range goes into one pipe as a
-    fixed-size record: one job per range, or, where the pipe cannot
-    hold a record per job, as many equal contiguous ranges as it holds.
-    So no write blocks and each read takes one whole record. Each worker
-    runs the ranges it reads (`_run_ranges`) into its own temporary
-    file, which is read here once the worker has exited. Workers inherit
-    the runs' matrices and pipelines copy-on-write, so only job numbers
-    and results cross between processes, and the last worker ends at
-    most one range after the others. A worker stops at its first
-    failing job, and only after every job before it in job order has
-    been read; so that job's exception is the one raised, as in one
-    process, with the worker's traceback as its cause. It empties the
-    pipe as it stops, so the call fails once the running ranges end. A
-    worker that dies is a ProdcoefError as soon as it has died, whatever
-    the other workers are running.
+    fixed-size record, all in at most POSIX's PIPE_BUF bytes, so no
+    write blocks and each read takes one whole record: one job per range
+    up to PIPE_BUF / 4 jobs (1,024 on Linux), beyond that as many equal
+    contiguous ranges as fit. Each worker runs the ranges it reads
+    (`_run_ranges`) into its own temporary file, which is read here once
+    the worker has exited. Workers inherit the runs' matrices and
+    pipelines copy-on-write, so only job numbers and results cross
+    between processes, and the last worker ends at most one range after
+    the others. A worker stops at its first failing job, and only after
+    every job before it in job order has been read; so that job's
+    exception is the one raised, as in one process, with the worker's
+    traceback as its cause. It empties the pipe as it stops, so the call
+    fails once the running ranges end. A worker that dies is a
+    ProdcoefError at once, whatever the others run.
     """
     job_pipe, write_end = os.pipe()
     try:
         try:
-            span = -(-len(jobs) // (_pipe_capacity(write_end) // _RECORD_BYTES))
+            span = -(-len(jobs) // (select.PIPE_BUF // _RECORD_BYTES))
             ranges = -(-len(jobs) // span)
             os.write(write_end, b"".join(k.to_bytes(_RECORD_BYTES, "little")
                                          for k in range(ranges)))
@@ -457,10 +447,19 @@ def report_to_json(report: EvaluationReport) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _float_holds(value) -> bool:
+    try:
+        float(value)
+    except OverflowError:  # an integer past float64's range
+        return False
+    return True
+
+
 def _json_numbers(values, kind=(int, float)) -> bool:
-    """values is a JSON array of numbers, of integers if kind is int."""
+    """values is a JSON array of ints if kind is int, else of numbers float() holds."""
     return isinstance(values, list) and all(
-        isinstance(v, kind) and not isinstance(v, bool) for v in values)
+        isinstance(v, kind) and not isinstance(v, bool) and (kind is int or _float_holds(v))
+        for v in values)
 
 
 def report_from_json(text: str) -> EvaluationReport:

@@ -36,16 +36,19 @@ under 2**53, so float64 holds them exactly, in any summation order,
 with or without fused multiply-add, and the gains equal those of
 integer arithmetic bit for bit. Node totals are Python ints.
 
-A node with fewer than _SMALL_NODE_ROWS (16) distinct rows is held as
-one ascending list of its rows and searched by _small_best_split, which
-sorts the list by each sampled feature (stably, so ties, -0.0 and 0.0
-among them, keep row order as in the order matrix) and walks it in
-Python: there _best_split's fixed cost of about two dozen numpy calls
-outweighs a per-row loop. A split partitions that one list. Cutoffs of
-16, 24 and 32 rows time alike on desk-scale PCA-3..10 folds. The loop's
-running sums are the same integers held exactly, and it repeats
-_best_split's float operations in the same order, so both searches
-return the same split bit for bit; a test compares them node by node.
+A node below the root with fewer than _SMALL_NODE_ROWS (16) distinct
+rows is held as one ascending list of its rows and searched by
+_small_best_split, which sorts the list by each sampled feature
+(stably, so ties, -0.0 and 0.0 among them, keep row order as in the
+order matrix) and walks it in Python: there _best_split's fixed cost of
+about two dozen numpy calls outweighs a per-row loop. A split
+partitions that one list. Cutoffs of 16, 24 and 32 rows time alike on
+desk-scale PCA-3..10 folds. The loop's running sums are the same
+integers held exactly, and it repeats _best_split's float operations in
+the same order, so both searches return the same split bit for bit; a
+test compares them node by node. The root is an order matrix whatever
+its size; where it has fewer distinct rows, _best_split finds the split
+_small_best_split would.
 
 Candidate draws do not call Generator.choice per node, whose fixed
 cost outweighs the sampling: _CandidateDraws reproduces its samples
@@ -326,16 +329,15 @@ def _build_tree(columns: np.ndarray, order: np.ndarray, y: np.ndarray,
     max_depth = math.inf if config.max_depth is None else config.max_depth
 
     totals = [int(t) for t in table.sum(axis=0).tolist()]
-    drawn = np.flatnonzero(weight)
-    root = (drawn.tolist() if len(drawn) < _SMALL_NODE_ROWS
-            else order[(weight > 0)[order]].reshape(n_features, -1))
+    root = order[(weight > 0)[order]].reshape(n_features, -1)
     # Node records in preorder. A split node's left child is the next
     # node; its right child is set when that child is popped.
     feature, threshold, right, counts = [], [], [], []
     no_counts = [0] * n_classes
-    # Stack of (rows: an ascending list below _SMALL_NODE_ROWS, else an
-    # order matrix, None for a leaf; class counts plus size; depth; the
-    # node whose right child this is, or -1).
+    # Stack of (rows: an order matrix at the root and from
+    # _SMALL_NODE_ROWS rows up, else an ascending list, None for a leaf;
+    # class counts plus size; depth; the node whose right child this
+    # is, or -1).
     grows = 0 < max_depth and max(totals[:-1]) < totals[-1]
     stack = [(root if grows else None, totals, 0, -1)]
     while stack:

@@ -43,6 +43,8 @@ class PcaModel:
         gram = comps.T @ comps
         if np.abs(gram - np.eye(self.n)).max() > _ORTHO_TOL:
             raise ValidationError("component columns must be pairwise orthogonal")
+        if not np.isfinite(eig).all():
+            raise ValidationError(f"eigenvalues must be finite, got {eig.tolist()}")
         if (np.diff(eig) > 0).any() or (eig < -_ORTHO_TOL).any():
             raise ValidationError("eigenvalues must be non-increasing and >= 0")
         for arr in (mean, comps, eig):
@@ -61,9 +63,15 @@ def fit_pca(X: FeatureMatrix, n: int) -> PcaModel:
     if X.n_rows < 2:
         raise ValidationError(f"need at least 2 rows to fit PCA, got {X.n_rows}")
 
-    mean = X.values.mean(axis=0)
-    centered = X.values - mean
-    cov = centered.T @ centered / (X.n_rows - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.values.mean(axis=0)
+        centered = X.values - mean
+        cov = centered.T @ centered / (X.n_rows - 1)
+    if not np.isfinite(cov).all():
+        raise ValidationError(
+            "PCA covariance overflows: a feature's spread about its mean is "
+            "past float64's range; rescale the features"
+        )
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     order = np.argsort(-eigenvalues, kind="stable")[:n]
     comps = eigenvectors[:, order].copy()

@@ -95,6 +95,18 @@ def test_overflowing_span_gives_validation_exit(tmp_path, capsys, mode):
     assert "axis x spans min -1e+308 to max 1e+308" in capsys.readouterr().err
 
 
+def test_overflowing_pca_covariance_gives_validation_exit_and_no_model(tmp_path, capsys):
+    # Finite features whose second column, scaled by 1e200, has a
+    # variance past float64's range.
+    features = tmp_path / "features.csv"
+    features.write_text("a,b,c\n" + "".join(
+        f"{i % 7 * 0.1},{(i % 5) * 1e200},{i % 3 * 0.2}\n" for i in range(60)))
+    assert main(["pca", "--features", str(features), "--components", "3",
+                 "--out-dir", str(tmp_path / "o")]) == 1
+    assert "rescale the features" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "pca_model.json").exists()
+
+
 @pytest.mark.parametrize("row", ["0.5,99999999999999999999", "nan,1"])
 def test_bad_feature_file_gives_io_exit(tmp_path, capsys, row):
     bad = tmp_path / "features.csv"
@@ -692,6 +704,9 @@ _BAD_REPORT_FIELDS = {
     "mean_f1 text": {"mean_f1": "abc"},
     "std_f1 null": {"std_f1": None},
     "mean_f1 bool": {"mean_f1": True},
+    "mean_f1 past float64": {"mean_f1": 10**400},
+    "std_f1 past float64": {"std_f1": -(10**400)},
+    "per_fold_f1 entry past float64": {"per_fold_f1": [0.5, 10**400]},
     "config list": {"config": []},
     "classes text": {"classes": "ab"},
     "classes floats": {"classes": [-1.0, 4.0]},

@@ -1,5 +1,6 @@
 import csv
 import os
+import select
 import signal
 import threading
 import time
@@ -481,8 +482,9 @@ class TestCrossValidateMany:
         assert len(spools) == 2 and all(spool.closed for spool in spools)
 
     def test_more_jobs_than_the_pipe_holds_records(self):
-        # 20,000 4-byte records do not fit a 64 KiB pipe, so records name
-        # ranges of two jobs; all of them are written before the first
+        # 20,000 4-byte records do not fit in PIPE_BUF bytes, so records
+        # name ranges of ceil(20,000 / (PIPE_BUF / 4)) jobs (20 where
+        # PIPE_BUF is 4,096); all of them are written before the first
         # fork, which a blocked write would never reach (SIGALRM ends it).
         def timed_out(signum, frame):
             raise TimeoutError("the forked run took over 60 s")
@@ -497,16 +499,18 @@ class TestCrossValidateMany:
         assert [job for job, _ in results] == list(range(20_000))
         pids = [pid for _, pid in results]
         assert os.getpid() not in pids
-        assert all(pids[j] == pids[j + 1] for j in range(0, 20_000, 2))
+        span = -(-20_000 // (select.PIPE_BUF // 4))
+        for start in range(0, 20_000, span):
+            assert len(set(pids[start:start + span])) == 1, start
         assert_no_child_left()
 
     @pytest.mark.parametrize("capacity, span", [(16, 3), (40, 1), (4, 10)])
     def test_records_name_contiguous_ranges_beyond_the_pipe_size(self, monkeypatch,
                                                                  capacity, span):
-        # 10 jobs: a 16-byte pipe holds 4 records, so ranges of 3 jobs
-        # (the last of 1); 40 bytes hold a record per job; 4 bytes, one
-        # range of every job.
-        monkeypatch.setattr(evaluation, "_pipe_capacity", lambda fd: capacity)
+        # 10 jobs: a 16-byte PIPE_BUF holds 4 records, so ranges of 3
+        # jobs (the last of 1); 40 bytes hold a record per job; 4 bytes,
+        # one range of every job.
+        monkeypatch.setattr(evaluation.select, "PIPE_BUF", capacity)
         results = _run_forked(_JobAndPid(10), 3)
         assert [job for job, _ in results] == list(range(10))
         pids = [pid for _, pid in results]

@@ -589,7 +589,8 @@ def test_golden_forest_bytes_on_pca_fold():
 
 @pytest.mark.parametrize("n_rows", [4, 3 * _SMALL_NODE_ROWS])
 def test_threshold_between_values_whose_difference_overflows(n_rows):
-    # 4 rows search only small nodes; the larger root takes _best_split.
+    # Roots below (4 rows) and above the small-node cutoff; both take
+    # _best_split, as every root does.
     X = _matrix([[1e308], [-1e308]] * (n_rows // 2), [0, 1] * (n_rows // 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -207,3 +208,22 @@ def test_model_validation_rejects_bad_components():
             eigenvalues=np.array([1.0, 0.5]),
             n=2,
         )
+
+
+def test_overflowing_covariance_raises_without_warning():
+    # Every value is finite, but a column scaled by 1e200 has a variance
+    # past float64's range.
+    X = random_matrix(16)
+    values = X.values.copy()
+    values[:, 3] *= 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="rescale the features"):
+            fit_pca(FeatureMatrix(values, X.column_names), 3)
+
+
+@pytest.mark.parametrize("eigenvalues", [[np.nan, np.nan], [np.inf, 0.5], [1.0, np.nan]])
+def test_model_validation_rejects_non_finite_eigenvalues(eigenvalues):
+    with pytest.raises(ValidationError, match="finite"):
+        PcaModel(mean=np.zeros(2), components=np.eye(2),
+                 eigenvalues=np.array(eigenvalues), n=2)
